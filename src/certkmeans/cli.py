@@ -571,6 +571,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     epsilon = float(epsilon) if epsilon is not None else None
     distribution = _pick(args.distribution, cfg, "distribution", UNIFORM_BALL)
     check_alignment = bool(args.check_alignment or cfg.get("check_alignment", False))
+    summary_out = _pick(args.summary_out, cfg, "summary_out")
+    strict = bool(args.strict or cfg.get("strict", False))
 
     records, summaries = run_sweep(
         deltas,
@@ -593,8 +595,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     summary_text = summaries_to_csv(summaries)
-    if args.summary_out is not None:
-        with open(args.summary_out, "w") as fh:
+    if summary_out is not None:
+        with open(summary_out, "w") as fh:
             fh.write(summary_text)
     for s in summaries:
         print(
@@ -602,7 +604,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"certified {s.certified}/{s.trials}, recovered {s.recovered}/{s.trials}, errors {s.errors}"
         )
     failures = sum(1 for r in records if r.cert_decision == "error")
-    if failures and args.strict:
+    if failures and strict:
         print(f"{failures} trial(s) failed", file=sys.stderr)
         return 3
     return 0

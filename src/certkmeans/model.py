@@ -135,28 +135,22 @@ def partition_from_labels(labels: Sequence[int]) -> Partition:
     return Partition(labels=arr, k=k, sizes=np.bincount(arr, minlength=k))
 
 
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel clusters in order of first appearance."""
-    mapping = -np.ones(int(labels.max()) + 1, dtype=np.int64)
-    nxt = 0
-    out = np.empty_like(labels)
-    for j, lab in enumerate(labels):
-        if mapping[lab] < 0:
-            mapping[lab] = nxt
-            nxt += 1
-        out[j] = mapping[lab]
-    return out
-
-
 def partitions_equal(p: Partition, q: Partition) -> bool:
     """Whether two partitions define the same clustering up to relabeling.
 
-    Equivalent to searching for an exact label-permutation match, but via
-    first-appearance canonical forms so any k costs O(N).
+    They do exactly when the map from p-labels to q-labels is a bijection.
+    ``image[a]`` takes the q-label of some point of p-cluster a (every
+    label of a Partition names a nonempty cluster, so each entry is set);
+    the map is a function when every point's q-label equals the image of
+    its p-label.  Its image then holds every q-label, since each names a
+    point, so with k labels on both sides the function is a bijection.
+    O(N + k) time, with no k x k table.
     """
     if p.count != q.count or p.k != q.k:
         return False
-    return bool(np.array_equal(_canonical_labels(p.labels), _canonical_labels(q.labels)))
+    image = np.empty(p.k, dtype=np.int64)
+    image[p.labels] = q.labels
+    return bool(np.array_equal(image[p.labels], q.labels))
 
 
 @dataclass(frozen=True)

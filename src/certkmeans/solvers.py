@@ -98,8 +98,10 @@ def _repair_empty(
     """Re-seed each empty cluster with the point farthest from its centroid."""
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
+    diff = np.empty_like(cols)
     for a in np.flatnonzero(counts == 0):
-        dist = np.einsum("ij,ij->j", cols - centers[:, labels], cols - centers[:, labels])
+        np.subtract(cols, centers[:, labels], out=diff)
+        dist = np.einsum("ij,ij->j", diff, diff)
         movable = counts[labels] >= 2
         candidates = np.flatnonzero(movable)
         j = int(candidates[np.argmax(dist[candidates])])
@@ -114,7 +116,9 @@ def _kmeans_pp_centers(cols: np.ndarray, k: int, rng: np.random.Generator) -> np
     proportional to the squared distance to the nearest chosen center."""
     n = cols.shape[1]
     chosen = [int(rng.integers(n))]
-    d2 = np.einsum("ij,ij->j", cols - cols[:, chosen[0]][:, None], cols - cols[:, chosen[0]][:, None])
+    diff = np.empty_like(cols)
+    np.subtract(cols, cols[:, chosen[0]][:, None], out=diff)
+    d2 = np.einsum("ij,ij->j", diff, diff)
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -123,7 +127,8 @@ def _kmeans_pp_centers(cols: np.ndarray, k: int, rng: np.random.Generator) -> np
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
         chosen.append(idx)
-        cand = np.einsum("ij,ij->j", cols - cols[:, idx][:, None], cols - cols[:, idx][:, None])
+        np.subtract(cols, cols[:, idx][:, None], out=diff)
+        cand = np.einsum("ij,ij->j", diff, diff)
         np.minimum(d2, cand, out=d2)
     return cols[:, chosen].copy()
 

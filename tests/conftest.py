@@ -79,3 +79,59 @@ def pairwise_objective(points, labels):
         idx = np.flatnonzero(labels == a)
         total += dist[np.ix_(idx, idx)].sum() / (2.0 * idx.size)
     return total
+
+
+def reference_canonical_labels(labels):
+    """Relabel clusters in order of first appearance, one point at a time."""
+    labels = np.asarray(labels)
+    mapping = -np.ones(int(labels.max()) + 1, dtype=np.int64)
+    nxt = 0
+    out = np.empty_like(labels)
+    for j, lab in enumerate(labels):
+        if mapping[lab] < 0:
+            mapping[lab] = nxt
+            nxt += 1
+        out[j] = mapping[lab]
+    return out
+
+
+def reference_partitions_equal(p, q):
+    """Same clustering up to relabeling, via first-appearance canonical forms."""
+    if p.count != q.count or p.k != q.k:
+        return False
+    return bool(np.array_equal(reference_canonical_labels(p.labels), reference_canonical_labels(q.labels)))
+
+
+def reference_kmeans_pp_centers(cols, k, rng):
+    """D^2 seeding that forms each difference cols - c twice, inside einsum;
+    the library's seeding must return bit-identical centers."""
+    n = cols.shape[1]
+    chosen = [int(rng.integers(n))]
+    d2 = np.einsum("ij,ij->j", cols - cols[:, chosen[0]][:, None], cols - cols[:, chosen[0]][:, None])
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
+            idx = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
+        chosen.append(idx)
+        cand = np.einsum("ij,ij->j", cols - cols[:, idx][:, None], cols - cols[:, idx][:, None])
+        np.minimum(d2, cand, out=d2)
+    return cols[:, chosen].copy()
+
+
+def reference_repair_empty(cols, labels, centers, k):
+    """Empty-cluster repair that forms cols - centers[:, labels] twice per
+    empty cluster; the library's repair must return identical labels."""
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=k)
+    for a in np.flatnonzero(counts == 0):
+        dist = np.einsum("ij,ij->j", cols - centers[:, labels], cols - centers[:, labels])
+        movable = counts[labels] >= 2
+        candidates = np.flatnonzero(movable)
+        j = int(candidates[np.argmax(dist[candidates])])
+        counts[labels[j]] -= 1
+        labels[j] = a
+        counts[a] = 1
+    return labels

@@ -227,6 +227,13 @@ class TestCommandLine:
         records = parse_records_csv(rows.read_text())
         assert len(records) == 4  # 2 deltas x 2 trials
         assert cells.read_text().splitlines()[0].startswith("delta,")
+        # the summary path can come from the config file as well
+        file_cells = tmp_path / "file_cells.csv"
+        config.write_text(json.dumps({"trials": 2, "per_ball": "8", "dim": "4", "summary_out": str(file_cells)}))
+        rc = main(["sweep", "--config", str(config), "--delta", "2.5,3.0", "--clusters", "2", "--seed", "3",
+                   "--certify", "--out", str(rows)])
+        assert rc == 0
+        assert file_cells.read_text() == cells.read_text()
 
     def test_sweep_strict_exit_code(self, tmp_path):
         rc = main(
@@ -239,6 +246,22 @@ class TestCommandLine:
                 "--trials", "1",
                 "--solver", "spectral2",
                 "--strict",
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert rc == 3
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"strict": True}))
+        rc = main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--delta", "3.0",
+                "--clusters", "3",
+                "--dim", "6",
+                "--per-ball", "6",
+                "--trials", "1",
+                "--solver", "spectral2",
                 "--out", str(tmp_path / "r.csv"),
             ]
         )

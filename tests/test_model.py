@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ball_dataset, pairwise_objective
+from conftest import ball_dataset, pairwise_objective, reference_partitions_equal
 from certkmeans.model import (
     BallModelConfig,
     Dataset,
@@ -58,6 +58,50 @@ class TestTypes:
         r = partition_from_labels([0, 1, 1, 2])
         assert partitions_equal(p, q)
         assert not partitions_equal(p, r)
+        # random cases against the first-appearance loop, for k = 1..11
+        rng = np.random.default_rng(5)
+
+        def compact(labels):
+            return partition_from_labels(np.unique(labels, return_inverse=True)[1])
+
+        cases = []
+        for k in range(1, 12):
+            for _ in range(25):
+                n = int(rng.integers(k, 4 * k + 8))
+                labels = np.concatenate((np.arange(k), rng.integers(0, k, n - k)))
+                rng.shuffle(labels)
+                p = partition_from_labels(labels)
+                cases.append((p, partition_from_labels(rng.permutation(k)[labels])))
+                moved = labels.copy()
+                moved[rng.integers(n)] = rng.integers(k)
+                cases.append((p, compact(moved)))
+                swapped = labels.copy()
+                a, b = rng.integers(k, size=2)
+                i, j = rng.choice(np.flatnonzero(labels == a)), rng.choice(np.flatnonzero(labels == b))
+                swapped[i], swapped[j] = b, a
+                cases.append((p, partition_from_labels(swapped)))
+                sizes = np.bincount(labels)
+                same = np.flatnonzero(sizes == sizes[labels[0]])
+                if same.size >= 2:
+                    a, b = rng.choice(same, size=2, replace=False)
+                    exchanged = labels.copy()
+                    exchanged[labels == a], exchanged[labels == b] = b, a
+                    cases.append((p, partition_from_labels(exchanged)))
+                cases.append((p, compact(rng.integers(0, k, n))))
+                cases.append((p, compact(rng.integers(0, k + 1, n))))
+                cases.append((p, partition_from_labels(np.append(labels, 0))))
+        n = 3000
+        singletons = partition_from_labels(rng.permutation(n))
+        cases.append((singletons, partition_from_labels(np.arange(n))))
+        cases.append((singletons, compact(np.minimum(np.arange(n), n - 2))))
+        cases.append((singletons, partition_from_labels(rng.permutation(n + 1))))
+        outcomes = []
+        for p, q in cases:
+            expected = reference_partitions_equal(p, q)
+            assert partitions_equal(p, q) == expected
+            assert partitions_equal(q, p) == expected
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ball_dataset
+from conftest import ball_dataset, reference_kmeans_pp_centers, reference_repair_empty
+from certkmeans import solvers
 from certkmeans.model import (
     PointSet,
     kmeans_objective,
@@ -60,6 +61,37 @@ class TestLloyd:
         b = lloyd(ds.points, 2, seed=77)
         assert np.array_equal(a.partition.labels, b.partition.labels)
         assert a.objective == b.objective
+
+    def test_seeding_bit_identical_to_reference(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        instances = []
+        for k in range(2, 12):
+            for _ in range(6):
+                m, n = int(rng.integers(1, 8)), int(rng.integers(k, 120))
+                cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0)
+                if rng.random() < 0.5:
+                    cols = cols + 1e4
+                if rng.random() < 0.5:
+                    cols[:, rng.integers(n, size=n // 2)] = cols[:, :1]
+                instances.append((cols, k))
+        instances.append((np.ones((3, 9)), 4))  # all points equal: d2 sums to zero
+        for cols, k in instances:
+            seed = int(rng.integers(2**32))
+            got = solvers._kmeans_pp_centers(cols, k, np.random.default_rng(seed))
+            want = reference_kmeans_pp_centers(cols, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+        # whole Lloyd runs; 3 distinct points and k = 5 force empty-cluster repair
+        ds = ball_dataset(seed=9, k=3, m=4, n=40, delta=2.0)
+        dup = PointSet(np.repeat(ds.points.columns[:, :3], 8, axis=1) + 1e4)
+        runs = [(pts, k, s) for pts, k in ((ds.points, 3), (ds.points, 7), (dup, 5)) for s in range(4)]
+        fast = [lloyd(pts, k, seed=s) for pts, k, s in runs]
+        monkeypatch.setattr(solvers, "_kmeans_pp_centers", reference_kmeans_pp_centers)
+        monkeypatch.setattr(solvers, "_repair_empty", reference_repair_empty)
+        for (pts, k, s), got in zip(runs, fast):
+            want = lloyd(pts, k, seed=s)
+            assert np.array_equal(got.partition.labels, want.partition.labels)
+            assert got.objective == want.objective
+            assert got.iterations == want.iterations
 
     def test_identical_points_empty_repair(self):
         pts = PointSet(np.ones((2, 6)))

@@ -49,7 +49,6 @@ from .detector import (
     power_iteration_detect,
 )
 from .solvers import (
-    EigenResult,
     SolveResult,
     ThresholdScan,
     exact_kmeans_bruteforce,
@@ -58,6 +57,5 @@ from .solvers import (
     optimal_threshold_split,
     spectral_two_means,
 )
-from .cli import TrialRecord, run_sweep, run_trial
 
 __all__ = [name for name in dir() if not name.startswith("_")]

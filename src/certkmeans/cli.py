@@ -200,9 +200,9 @@ def parse_records_csv(text: str) -> list[TrialRecord]:
     return records
 
 
-def _solve(dataset: Dataset, solver: str, k: int, seed: int, max_iter: int = 100) -> SolveResult:
+def _solve(dataset: Dataset, solver: str, k: int, seed: int) -> SolveResult:
     if solver == "lloyd":
-        return lloyd(dataset.points, k, max_iter=max_iter, seed=seed)
+        return lloyd(dataset.points, k, seed=seed)
     if solver == "spectral2":
         if k != 2:
             raise ValueError("spectral2 solves two clusters only")
@@ -360,6 +360,15 @@ def summaries_to_csv(summaries: Sequence[CellSummary]) -> str:
     return buf.getvalue()
 
 
+def _build_ball_config(m, k, per_ball, delta, distribution, seed) -> BallModelConfig:
+    return BallModelConfig(
+        centers=standard_centers(k, m, delta),
+        per_ball=per_ball,
+        distribution=distribution,
+        seed=seed,
+    )
+
+
 def run_sweep(
     deltas: Sequence[float],
     ks: Sequence[int],
@@ -390,12 +399,7 @@ def run_sweep(
         for _ in range(trials):
             seed = derive_trial_seed(base_seed, trial_id)
             try:
-                config = BallModelConfig(
-                    centers=standard_centers(k, m, delta),
-                    per_ball=n,
-                    distribution=distribution,
-                    seed=0,
-                )
+                config = _build_ball_config(m, k, n, delta, distribution, seed=0)
                 rec = run_trial(
                     config,
                     solver=solver,
@@ -434,39 +438,51 @@ def run_sweep(
 
 def _parse_float_list(text: str) -> list[float]:
     """Either comma-separated values or an inclusive start:stop:step range."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("range syntax is start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 0))]
-    return [float(p) for p in text.split(",") if p]
+    try:
+        if ":" not in text:
+            return [float(p) for p in text.split(",") if p]
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers or start:stop:step, got {text!r}"
+        ) from None
+    if step <= 0:
+        raise argparse.ArgumentTypeError("step must be positive")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(max(count, 0))]
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    try:
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The JSON object in ``path`` as defaults for ``parser``'s options.
 
-
-def _pick(args_value, config: dict, key: str, default=None):
-    """Explicit flags override config-file values, which override defaults."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        return config[key]
-    return default
+    Keys are the long flag names with underscores (``per_ball``, ``in``);
+    keys that name no option of the subcommand are ignored.  Numbers for
+    options with a ``type`` are passed as text, because argparse applies
+    ``type`` to string defaults only.
+    """
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: cannot read config file {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"error: config file {path} must hold a JSON object")
+    defaults = {}
+    for action in parser._actions:
+        key = action.option_strings[-1].lstrip("-").replace("-", "_")
+        if key in cfg and key not in ("help", "config"):
+            value = cfg[key]
+            if action.type is not None and isinstance(value, (int, float)) and not isinstance(value, bool):
+                value = str(value)
+            defaults[action.dest] = value
+    return defaults
 
 
 def _require(value, flag: str):
@@ -475,42 +491,28 @@ def _require(value, flag: str):
     return value
 
 
-def _build_ball_config(m, k, per_ball, delta, distribution, seed) -> BallModelConfig:
-    return BallModelConfig(
-        centers=standard_centers(k, m, delta),
-        per_ball=per_ball,
-        distribution=distribution,
-        seed=seed,
-    )
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    m = int(_pick(args.dim, cfg, "dim", 2))
-    k = int(_pick(args.clusters, cfg, "clusters", 2))
-    per_ball = int(_pick(args.per_ball, cfg, "per_ball", 100))
-    delta = float(_pick(args.delta, cfg, "delta", 3.0))
-    distribution = _pick(args.distribution, cfg, "distribution", UNIFORM_BALL)
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    out = _require(_pick(args.out, cfg, "out"), "--out")
-    dataset = sample_stochastic_ball_model(_build_ball_config(m, k, per_ball, delta, distribution, seed))
-    write_dataset_csv(dataset, out)
-    print(f"wrote {dataset.points.count} points (m={m}, k={k}, delta={delta}) to {out}")
-    return 0
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    path = _require(_pick(args.input, cfg, "in"), "--in")
-    dataset = read_dataset_csv(path)
-    k = _pick(args.clusters, cfg, "clusters")
+def _solve_dataset(dataset: Dataset, args: argparse.Namespace) -> SolveResult:
+    """Run ``--solver`` for ``--clusters`` clusters, by default the planted count."""
+    k = args.clusters
     if k is None:
         if dataset.planted is None:
             raise SystemExit("error: --clusters required when the dataset has no planted labels")
         k = dataset.planted.k
-    solver = _pick(args.solver, cfg, "solver", "lloyd")
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    result = _solve(dataset, solver, int(k), seed)
+    return _solve(dataset, args.solver, k, args.seed)
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    out = _require(args.out, "--out")
+    config = _build_ball_config(args.dim, args.clusters, args.per_ball, args.delta, args.distribution, args.seed)
+    dataset = sample_stochastic_ball_model(config)
+    write_dataset_csv(dataset, out)
+    print(f"wrote {dataset.points.count} points (m={args.dim}, k={args.clusters}, delta={args.delta}) to {out}")
+    return 0
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    dataset = read_dataset_csv(_require(args.input, "--in"))
+    result = _solve_dataset(dataset, args)
     print(f"solver: {result.solver_tag}")
     print(f"objective: {result.objective!r}")
     print(f"iterations: {result.iterations}")
@@ -520,29 +522,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    path = _require(_pick(args.input, cfg, "in"), "--in")
-    dataset = read_dataset_csv(path)
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    use_planted = bool(args.use_planted or cfg.get("use_planted", False))
-    if use_planted:
+    dataset = read_dataset_csv(_require(args.input, "--in"))
+    if args.use_planted:
         if dataset.planted is None:
             raise SystemExit("error: dataset has no planted labels")
-        partition = dataset.planted
-        tag = "planted"
+        partition, tag = dataset.planted, "planted"
     else:
-        solver = _pick(args.solver, cfg, "solver", "lloyd")
-        k = _pick(args.clusters, cfg, "clusters")
-        if k is None:
-            if dataset.planted is None:
-                raise SystemExit("error: --clusters required when the dataset has no planted labels")
-            k = dataset.planted.k
-        result = _solve(dataset, solver, int(k), seed)
-        partition = result.partition
-        tag = result.solver_tag
-    epsilon = _pick(args.epsilon, cfg, "epsilon")
-    epsilon = float(epsilon) if epsilon is not None else default_epsilon(dataset.points.count, 1.0)
-    outcome = certify_partition(dataset.points, partition, epsilon, seed=seed)
+        result = _solve_dataset(dataset, args)
+        partition, tag = result.partition, result.solver_tag
+    epsilon = args.epsilon if args.epsilon is not None else default_epsilon(dataset.points.count, 1.0)
+    outcome = certify_partition(dataset.points, partition, epsilon, seed=args.seed)
     print(f"partition: {tag}")
     print(f"decision: {outcome.decision.value}")
     print(f"z: {outcome.z!r}")
@@ -554,81 +543,53 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    deltas = _pick(args.delta, cfg, "delta")
-    deltas = deltas if isinstance(deltas, list) else _parse_float_list(str(_require(deltas, "--delta")))
-    ks = _pick(args.clusters, cfg, "clusters", [2])
-    ks = ks if isinstance(ks, list) else _parse_int_list(str(ks))
-    ms = _pick(args.dim, cfg, "dim", [2])
-    ms = ms if isinstance(ms, list) else _parse_int_list(str(ms))
-    ns = _pick(args.per_ball, cfg, "per_ball", [100])
-    ns = ns if isinstance(ns, list) else _parse_int_list(str(ns))
-    trials = int(_pick(args.trials, cfg, "trials", 10))
-    base_seed = int(_pick(args.seed, cfg, "seed", 0))
-    solver = _pick(args.solver, cfg, "solver", "lloyd")
-    certify = bool(args.certify or cfg.get("certify", False))
-    epsilon = _pick(args.epsilon, cfg, "epsilon")
-    epsilon = float(epsilon) if epsilon is not None else None
-    distribution = _pick(args.distribution, cfg, "distribution", UNIFORM_BALL)
-    check_alignment = bool(args.check_alignment or cfg.get("check_alignment", False))
-    summary_out = _pick(args.summary_out, cfg, "summary_out")
-    strict = bool(args.strict or cfg.get("strict", False))
-
     records, summaries = run_sweep(
-        deltas,
-        ks,
-        ms,
-        ns,
-        trials,
-        base_seed=base_seed,
-        solver=solver,
-        certify=certify,
-        epsilon=epsilon,
-        distribution=distribution,
-        check_alignment=check_alignment,
+        _require(args.delta, "--delta"),
+        args.clusters,
+        args.dim,
+        args.per_ball,
+        args.trials,
+        base_seed=args.seed,
+        solver=args.solver,
+        certify=args.certify,
+        epsilon=args.epsilon,
+        distribution=args.distribution,
+        check_alignment=args.check_alignment,
     )
-    text = records_to_csv(records, check_alignment=check_alignment)
-    out = _pick(args.out, cfg, "out")
-    if out is not None:
-        with open(out, "w") as fh:
+    text = records_to_csv(records, check_alignment=args.check_alignment)
+    if args.out is not None:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    summary_text = summaries_to_csv(summaries)
-    if summary_out is not None:
-        with open(summary_out, "w") as fh:
-            fh.write(summary_text)
+    if args.summary_out is not None:
+        with open(args.summary_out, "w") as fh:
+            fh.write(summaries_to_csv(summaries))
     for s in summaries:
         print(
             f"cell delta={s.delta:g} k={s.k} m={s.m} n={s.n}: "
             f"certified {s.certified}/{s.trials}, recovered {s.recovered}/{s.trials}, errors {s.errors}"
         )
     failures = sum(1 for r in records if r.cert_decision == "error")
-    if failures and strict:
+    if failures and args.strict:
         print(f"{failures} trial(s) failed", file=sys.stderr)
         return 3
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    sizes = _pick(args.sizes, cfg, "sizes")
-    sizes = sizes if isinstance(sizes, list) else _parse_int_list(str(_require(sizes, "--sizes")))
-    m = int(_pick(args.dim, cfg, "dim", 6))
-    k = int(_pick(args.clusters, cfg, "clusters", 2))
-    delta = float(_pick(args.delta, cfg, "delta", 2.3))
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    repeats = int(_pick(args.repeats, cfg, "repeats", 3))
+    sizes = _require(args.sizes, "--sizes")
+    k = args.clusters
     print("n_points,wall_ms,decision")
     for total in sizes:
         if total % k:
             raise SystemExit(f"error: size {total} not divisible by k={k}")
-        config = _build_ball_config(m, k, total // k, delta, UNIFORM_BALL, seed)
-        streams = derive_streams(seed)
+        config = _build_ball_config(args.dim, k, total // k, args.delta, UNIFORM_BALL, args.seed)
+        streams = derive_streams(args.seed)
         dataset = sample_stochastic_ball_model(replace(config, seed=streams.sample))
         best = math.inf
         decision = ""
-        for _ in range(max(repeats, 1)):
+        for _ in range(max(args.repeats, 1)):
             start = time.perf_counter()
             outcome = certify_partition(dataset.points, dataset.planted, seed=streams.detector)
             best = min(best, (time.perf_counter() - start) * 1000.0)
@@ -638,74 +599,73 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``certkmeans`` parser; built-in defaults live in ``add_argument``."""
     parser = argparse.ArgumentParser(
         prog="certkmeans",
         description="k-means solvers with certified-optimality testing on planted ball data",
     )
     sub = parser.add_subparsers(required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="JSON file with the same field names as the long flags")
-        p.add_argument("--seed", type=int, help="64-bit seed")
+        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
+        return p
 
-    p = sub.add_parser("generate", help="sample a planted dataset and write it as CSV")
-    common(p)
-    p.add_argument("--dim", type=int, help="ambient dimension m")
-    p.add_argument("--clusters", type=int, help="number of balls k")
-    p.add_argument("--per-ball", dest="per_ball", type=int, help="points per ball n")
-    p.add_argument("--delta", type=float, help="center separation")
-    p.add_argument("--distribution", choices=DISTRIBUTIONS)
+    p = command("generate", _cmd_generate, "sample a planted dataset and write it as CSV")
+    p.add_argument("--dim", type=int, default=2, help="ambient dimension m")
+    p.add_argument("--clusters", type=int, default=2, help="number of balls k")
+    p.add_argument("--per-ball", dest="per_ball", type=int, default=100, help="points per ball n")
+    p.add_argument("--delta", type=float, default=3.0, help="center separation")
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=UNIFORM_BALL)
     p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="run a solver on a dataset CSV")
-    common(p)
+    p = command("solve", _cmd_solve, "run a solver on a dataset CSV")
     p.add_argument("--in", dest="input", help="dataset CSV path")
-    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--solver", choices=SOLVERS, default="lloyd")
     p.add_argument("--clusters", type=int)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("certify", help="certify a partition of a dataset CSV")
-    common(p)
+    p = command("certify", _cmd_certify, "certify a partition of a dataset CSV")
     p.add_argument("--in", dest="input", help="dataset CSV path")
     p.add_argument("--use-planted", action="store_true", help="certify the planted partition")
-    p.add_argument("--solver", choices=SOLVERS, help="solve first, then certify the result")
+    p.add_argument("--solver", choices=SOLVERS, default="lloyd", help="solve first, then certify the result")
     p.add_argument("--clusters", type=int)
     p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("sweep", help="grid of trials with CSV rows and per-cell aggregates")
-    common(p)
-    p.add_argument("--delta", help="comma list or start:stop:step range")
-    p.add_argument("--clusters", help="comma list")
-    p.add_argument("--dim", help="comma list")
-    p.add_argument("--per-ball", dest="per_ball", help="comma list")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--solver", choices=PARTITION_SOURCES)
+    p = command("sweep", _cmd_sweep, "grid of trials with CSV rows and per-cell aggregates")
+    p.add_argument("--delta", type=_parse_float_list, help="comma list or start:stop:step range")
+    p.add_argument("--clusters", type=_parse_int_list, default=[2], help="comma list")
+    p.add_argument("--dim", type=_parse_int_list, default=[2], help="comma list")
+    p.add_argument("--per-ball", dest="per_ball", type=_parse_int_list, default=[100], help="comma list")
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--solver", choices=PARTITION_SOURCES, default="lloyd")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--distribution", choices=DISTRIBUTIONS)
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default=UNIFORM_BALL)
     p.add_argument("--check-alignment", action="store_true", help="append the alignment_ok column")
     p.add_argument("--out", help="per-trial CSV path (default: stdout)")
     p.add_argument("--summary-out", help="per-cell aggregate CSV path")
     p.add_argument("--strict", action="store_true", help="exit 3 if any trial fails")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("bench", help="certification wall time across dataset sizes")
-    common(p)
-    p.add_argument("--sizes", help="comma list of total point counts")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--repeats", type=int, help="take the best of this many runs")
-    p.set_defaults(func=_cmd_bench)
+    p = command("bench", _cmd_bench, "certification wall time across dataset sizes")
+    p.add_argument("--sizes", type=_parse_int_list, help="comma list of total point counts")
+    p.add_argument("--dim", type=int, default=6)
+    p.add_argument("--clusters", type=int, default=2)
+    p.add_argument("--delta", type=float, default=2.3)
+    p.add_argument("--repeats", type=int, default=3, help="take the best of this many runs")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # explicit flags beat file values, which beat the built-in defaults
+            args.command_parser.set_defaults(**_config_defaults(args.command_parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -32,6 +32,9 @@ __all__ = [
 
 Operator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
+# relative residual allowed when checking that v really is an eigenvector
+EIGRES_TOL = 1e-8
+
 
 class EigenvectorMismatchError(ValueError):
     """The supplied v is not (numerically) a unit eigenvector of the operator."""
@@ -55,14 +58,11 @@ class DetectorConfig:
             not terminate on degenerate pairs, so the cap turns those runs
             into an explicit third verdict instead of a hang.
         seed: seed for the random unit-sphere initialization.
-        eigres_tol: relative residual allowed when checking that v really
-            is an eigenvector.
     """
 
     epsilon: float
     max_iter: Optional[int] = None
     seed: int = 0
-    eigres_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -72,8 +72,6 @@ class DetectorConfig:
             object.__setattr__(self, "max_iter", cap)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.eigres_tol <= 0.0:
-            raise ValueError("eigres_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,19 @@ class DetectorOutcome:
     lam: float
 
 
-def _as_matvec(op: Operator) -> Callable[[np.ndarray], np.ndarray]:
+def as_matvec(op: Operator, n: Optional[int]) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """A square ndarray or a matvec callable as (matvec, dimension).
+
+    A matrix gives its own dimension; a callable needs ``n``.
+    """
     if callable(op):
-        return op
+        if n is None:
+            raise ValueError("dimension n is required for a callable operator")
+        return op, int(n)
     mat = np.asarray(op, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator matrix must be square")
-    return lambda x: mat @ x
+    return (lambda x: mat @ x), mat.shape[0]
 
 
 def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) -> DetectorOutcome:
@@ -109,19 +113,19 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
 
     Raises:
         EigenvectorMismatchError: v is not unit-norm within 1e-10, or its
-            eigenvector residual exceeds ``config.eigres_tol``.
+            eigenvector residual exceeds ``EIGRES_TOL``.
     """
-    matvec = _as_matvec(op)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
     n = v.size
+    matvec, _ = as_matvec(op, n)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise EigenvectorMismatchError("v must have unit norm")
     av = matvec(v)
     lam = float(v @ av)
     residual = float(np.linalg.norm(av - lam * v))
-    if residual > config.eigres_tol * max(abs(lam), float(np.linalg.norm(av))):
+    if residual > EIGRES_TOL * max(abs(lam), float(np.linalg.norm(av))):
         raise EigenvectorMismatchError(
             f"v is not an eigenvector: residual {residual:.3e} with eigenvalue {lam:.6e}"
         )

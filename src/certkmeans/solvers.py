@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .detector import Operator, as_matvec
 from .model import Partition, PointSet, kmeans_objective, partition_from_labels
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "exact_kmeans_bruteforce",
     "stirling_partition_count",
 ]
-
-Operator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -178,17 +177,6 @@ def lloyd(
     return SolveResult(partition, kmeans_objective(points, partition), iterations, "lloyd")
 
 
-def _resolve_operator(op: Operator, n: Optional[int]) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    if callable(op):
-        if n is None:
-            raise ValueError("dimension n is required for a callable operator")
-        return op, int(n)
-    mat = np.asarray(op, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("operator matrix must be square")
-    return (lambda x: mat @ x), mat.shape[0]
-
-
 def leading_eigenvector(
     op: Operator,
     n: Optional[int] = None,
@@ -203,7 +191,7 @@ def leading_eigenvector(
     tol * |q^T A q|; at the cap the best iterate seen is returned with
     ``converged`` False.
     """
-    matvec, dim = _resolve_operator(op, n)
+    matvec, dim = as_matvec(op, n)
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)

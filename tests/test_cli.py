@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import certkmeans
 from certkmeans.cli import (
     GAMMA,
     TRIAL_CSV_HEADER,
@@ -274,14 +278,32 @@ class TestCommandLine:
         assert lines[0] == "n_points,wall_ms,decision"
         assert len(lines) == 3
 
-    def test_invalid_arguments_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--nonsense"])
-        assert exc.value.code == 2
+    def test_invalid_arguments_exit_2(self, capsys):
+        for argv in (
+            ["solve", "--nonsense"],
+            ["sweep", "--delta", "1:2"],
+            ["sweep", "--delta", "1:2:0"],
+            ["sweep", "--delta", "2.5", "--clusters", "a"],
+            ["bench", "--sizes", "64,x"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.splitlines()[-1].startswith("certkmeans"), argv
 
-    def test_missing_required_returns_2(self, capsys):
-        assert main(["generate", "--dim", "2"]) == 2
-        assert "missing required option" in capsys.readouterr().err
+    def test_missing_required_returns_2(self, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        for argv, config_text, message in (
+            (["generate", "--dim", "2"], None, "missing required option --out"),
+            (["generate", "--config", str(config)], None, "cannot read config file"),  # no such file
+            (["sweep", "--delta", "2.5", "--config", str(config)], "{not json", "cannot read config file"),
+            (["bench", "--config", str(config)], "[64, 128]", "must hold a JSON object"),
+        ):
+            if config_text is not None:
+                config.write_text(config_text)
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, (argv, err)
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
@@ -291,3 +313,114 @@ class TestCommandLine:
         ds = read_dataset_csv(str(tmp_path / "b.csv"))
         spread = ds.points.columns[0].max() - ds.points.columns[0].min()
         assert spread < 9.0  # delta 2.5 took precedence
+
+
+def _output(capsys, argv) -> list[str]:
+    """Stdout lines of a successful run, with the wall-time column blanked."""
+    assert main(argv) == 0
+    lines, col = [], None
+    for line in capsys.readouterr().out.splitlines():
+        cells = line.split(",")
+        if "wall_ms" in cells:
+            col, width = cells.index("wall_ms"), len(cells)
+        elif col is not None and len(cells) == width:
+            cells[col] = ""
+        lines.append(",".join(cells))
+    return lines
+
+
+def _flags(values: dict) -> list[str]:
+    """The command-line form of config-file values."""
+    argv = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.fixture
+def three_ball_csv(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    _output(capsys, ["generate", "--dim", "4", "--clusters", "3", "--per-ball", "16", "--delta", "3.0",
+                     "--seed", "5", "--out", str(path)])
+    return str(path)
+
+
+class TestConfigFile:
+    """Each option read from --config acts as its flag would, and flags win."""
+
+    @pytest.mark.parametrize(
+        "command, values, expect",
+        [
+            ("solve", {"solver": "spectral2", "clusters": 2, "seed": 4}, "solver: spectral2"),
+            ("certify", {"solver": "spectral2", "clusters": 2, "epsilon": 1e-6, "seed": 4}, "partition: spectral2"),
+            ("certify", {"use_planted": True, "epsilon": "1e-6"}, "partition: planted"),
+        ],
+    )
+    def test_solve_and_certify_read_config(self, tmp_path, capsys, three_ball_csv, command, values, expect):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"in": three_ball_csv, **values}))
+        from_file = _output(capsys, [command, "--config", str(config)])
+        assert expect in from_file
+        assert from_file == _output(capsys, [command, "--in", three_ball_csv] + _flags(values))
+
+    def test_bench_reads_sizes(self, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"sizes": "64,96", "dim": 4, "delta": 3, "repeats": 1}))
+        from_file = _output(capsys, ["bench", "--config", str(config)])
+        assert [line.split(",")[0] for line in from_file] == ["n_points", "64", "96"]
+        assert from_file == _output(capsys, ["bench", "--sizes", "64,96", "--dim", "4", "--delta", "3", "--repeats", "1"])
+
+    def test_sweep_list_forms_agree(self, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        outputs = []
+        for per_ball in ("8", 8, [8]):
+            config.write_text(json.dumps({"delta": [2.5, 3.0], "clusters": 2, "dim": "4", "per_ball": per_ball,
+                                          "trials": 2, "seed": 3, "certify": True}))
+            outputs.append(_output(capsys, ["sweep", "--config", str(config)]))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 1 + 4 + 2  # header, 2 deltas x 2 trials, 2 cell lines
+        assert outputs[0] == _output(capsys, ["sweep", "--delta", "2.5,3.0", "--clusters", "2", "--dim", "4",
+                                              "--per-ball", "8", "--trials", "2", "--seed", "3", "--certify"])
+
+    @pytest.mark.parametrize(
+        "command, file_values, flag_values",
+        [
+            ("solve", {"solver": "spectral2", "clusters": 2, "seed": 9}, {"solver": "lloyd", "clusters": 3, "seed": 1}),
+            ("certify", {"solver": "spectral2", "clusters": 2, "epsilon": 0.5, "seed": 9},
+             {"use_planted": True, "epsilon": 1e-6, "seed": 2}),
+            ("sweep", {"delta": "3.0", "clusters": "3", "per_ball": "16", "trials": 3, "solver": "spectral2"},
+             {"delta": "2.5", "clusters": "2", "per_ball": "8", "trials": 1, "solver": "lloyd"}),
+            ("bench", {"sizes": "64,128", "clusters": 4, "repeats": 2}, {"sizes": "64", "clusters": 2, "repeats": 1}),
+        ],
+    )
+    def test_flag_beats_file(self, tmp_path, capsys, three_ball_csv, command, file_values, flag_values):
+        base = {"in": three_ball_csv} if command in ("solve", "certify") else {}
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({**base, **file_values}))
+        both = _output(capsys, [command, "--config", str(config)] + _flags(flag_values))
+        assert both == _output(capsys, [command] + _flags({**base, **flag_values}))
+        assert both != _output(capsys, [command, "--config", str(config)])
+
+
+class TestImportBoundary:
+    """The library does not load the command line interface or argparse."""
+
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(certkmeans.__file__).resolve().parent.parent)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": src, "PATH": ""})
+
+    def test_import_leaves_cli_and_argparse_unloaded(self):
+        run = self._python("-c", "import sys, certkmeans; print(sorted({'argparse', 'certkmeans.cli'} & set(sys.modules)))")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_module_entry_point_without_runpy_warning(self):
+        run = self._python("-W", "error::RuntimeWarning", "-m", "certkmeans.cli", "--help")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: certkmeans")

@@ -14,9 +14,7 @@ from .model import (
     TWO_POINT_SYM,
     UNIFORM_BALL,
     UNIFORM_SPHERE,
-    counterexample_1d_objectives,
     kmeans_objective,
-    normalized_partition_matrix,
     pairwise_sq_distances,
     partition_from_labels,
     partitions_equal,
@@ -30,7 +28,6 @@ from .certificate import (
     CertificateUndefinedError,
     CertifyDecision,
     CertifyOutcome,
-    ImplicitOperator,
     apply_A,
     build_certificate_context,
     certify_partition,
@@ -45,7 +42,6 @@ from .detector import (
     DetectorOutcome,
     EigenvectorMismatchError,
     default_epsilon,
-    pi_epsilon_bound,
     power_iteration_detect,
 )
 from .solvers import (

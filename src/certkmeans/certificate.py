@@ -34,21 +34,18 @@ import numpy as np
 
 from .detector import DetectorConfig, DetectorDecision, DetectorOutcome, default_epsilon, power_iteration_detect
 from .model import Partition, PointSet, pairwise_sq_distances
-from .solvers import leading_eigenvector
 
 __all__ = [
     "RHO_REL_TOLERANCE",
     "U_CLAMP_REL_TOLERANCE",
     "CertificateUndefinedError",
     "CertificateContext",
-    "ImplicitOperator",
     "CertifyDecision",
     "CertifyOutcome",
     "build_certificate_context",
     "apply_A",
     "dense_A",
     "dense_B",
-    "dense_E",
     "dense_M",
     "dense_projection",
     "dense_certificate_gap",
@@ -265,30 +262,9 @@ def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
     return _project_off_blocks(ctx, w) + (ctx.z / ctx.n_points) * x.sum()
 
 
-@dataclass(frozen=True)
-class ImplicitOperator:
-    """Callable wrapper around ``apply_A`` for a fixed context."""
-
-    ctx: CertificateContext
-
-    @property
-    def dim(self) -> int:
-        return self.ctx.n_points
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return apply_A(self.ctx, x)
-
-
 def _check_dense_size(ctx: CertificateContext, cap: int = 2000) -> None:
     if ctx.n_points > cap:
         raise ValueError(f"dense helper limited to N <= {cap}, got N = {ctx.n_points}")
-
-
-def dense_E(ctx: CertificateContext) -> np.ndarray:
-    """Dense E with blocks (1/2)(1/n_a + 1/n_b) 11^T (test helper)."""
-    _check_dense_size(ctx)
-    inv = np.repeat(1.0 / ctx.sizes, ctx.sizes)
-    return 0.5 * (inv[:, None] + inv[None, :])
 
 
 def dense_M(ctx: CertificateContext) -> np.ndarray:
@@ -363,8 +339,8 @@ def corollary_check(points: PointSet, partition: Partition) -> tuple[bool, float
 
     where Psi is the cluster-centered m x N point matrix, and compares it
     against z.  ``lhs <= z`` implies the operator condition behind the
-    certificate (the converse need not hold).  ||Psi|| is found by power
-    iteration on the m x m Gram matrix Psi Psi^T.
+    certificate (the converse need not hold).  ||Psi||^2 is the largest
+    eigenvalue of the m x m Gram matrix Psi Psi^T, computed exactly.
 
     Returns:
         (holds, lhs, z)
@@ -375,9 +351,7 @@ def corollary_check(points: PointSet, partition: Partition) -> tuple[bool, float
     for a in range(ctx.n_clusters):
         blk = ctx.block(a)
         centered[:, blk] = ctx.phi[:, blk] - ctx.phi[:, blk].mean(axis=1)[:, None]
-    gram = centered @ centered.T
-    eig = leading_eigenvector(gram, tol=1e-8, max_iter=10_000, seed=0)
-    lhs = 2.0 * max(eig.rayleigh, 0.0)
+    lhs = 2.0 * max(float(np.linalg.eigvalsh(centered @ centered.T)[-1]), 0.0)
     for a in range(ctx.n_clusters):
         for b in range(a + 1, ctx.n_clusters):
             u_ab = ctx.u[(a, b)]
@@ -406,14 +380,16 @@ def recover_alpha(ctx: CertificateContext) -> np.ndarray:
 class CertifyOutcome:
     """Result of the optimality certification pipeline.
 
-    ``confidence_bound`` is 3 sqrt(N epsilon), the bound on the probability
-    that a certificate was issued for a non-optimal partition.
+    ``epsilon`` is the detector tolerance used and ``confidence_bound`` is
+    3 sqrt(N epsilon), the bound on the probability that a certificate was
+    issued for a non-optimal partition.
     """
 
     decision: CertifyDecision
     z: float
     detector: Optional[DetectorOutcome]
     confidence_bound: float
+    epsilon: float
 
     @property
     def certified(self) -> bool:
@@ -431,7 +407,6 @@ def certify_partition(
     points: PointSet,
     partition: Partition,
     epsilon: Optional[float] = None,
-    max_iter: Optional[int] = None,
     seed: int = 0,
 ) -> CertifyOutcome:
     """Test whether ``partition`` is a certifiably global k-means optimum.
@@ -442,26 +417,25 @@ def certify_partition(
     eigenspace, which (for z > 0) forces the certificate condition and
     hence global optimality, up to the reported confidence bound.
 
-    ``epsilon`` defaults to the dimension-calibrated N^-3.  z <= 0 cannot
-    yield a valid certificate (the operator always has k - 1 zero
-    eigenvalues), so such runs return NOT_CERTIFIED without iterating.
+    ``epsilon`` defaults to the dimension-calibrated N^-3, and the outcome
+    reports the value used.  z <= 0 cannot yield a valid certificate (the
+    operator always has k - 1 zero eigenvalues), so such runs return
+    NOT_CERTIFIED without iterating.
     """
     n = points.count
     if epsilon is None:
-        epsilon = default_epsilon(n, 1.0)
+        epsilon = default_epsilon(n)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     confidence_bound = 3.0 * math.sqrt(n * epsilon)
     ctx = build_certificate_context(points, partition)
     if ctx.is_undefined:
-        return CertifyOutcome(CertifyDecision.CERTIFICATE_UNDEFINED, ctx.z, None, confidence_bound)
+        return CertifyOutcome(CertifyDecision.CERTIFICATE_UNDEFINED, ctx.z, None, confidence_bound, epsilon)
     if ctx.z <= 0.0:
-        return CertifyOutcome(CertifyDecision.NOT_CERTIFIED, ctx.z, None, confidence_bound)
+        return CertifyOutcome(CertifyDecision.NOT_CERTIFIED, ctx.z, None, confidence_bound, epsilon)
     v = np.full(n, 1.0 / math.sqrt(n))
-    outcome = power_iteration_detect(
-        ImplicitOperator(ctx), v, DetectorConfig(epsilon=epsilon, max_iter=max_iter, seed=seed)
-    )
-    return CertifyOutcome(_DETECTOR_TO_CERTIFY[outcome.decision], ctx.z, outcome, confidence_bound)
+    outcome = power_iteration_detect(lambda x: apply_A(ctx, x), v, DetectorConfig(epsilon=epsilon, seed=seed))
+    return CertifyOutcome(_DETECTOR_TO_CERTIFY[outcome.decision], ctx.z, outcome, confidence_bound, epsilon)
 
 
 def diagnostics_csv(ctx: CertificateContext) -> str:

@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .certificate import CertifyDecision, certify_partition
-from .detector import default_epsilon
 from .model import (
     BallModelConfig,
     DISTRIBUTIONS,
@@ -42,7 +41,7 @@ from .model import (
     standard_centers,
     write_dataset_csv,
 )
-from .solvers import SolveResult, exact_kmeans_bruteforce, leading_eigenvector, lloyd, spectral_two_means
+from .solvers import SolveResult, exact_kmeans_bruteforce, lloyd, spectral_two_means
 
 __all__ = [
     "GAMMA",
@@ -226,9 +225,9 @@ def _alignment_diagnostic(dataset: Dataset) -> Optional[bool]:
         return None
     cols = dataset.points.columns
     centered = cols - cols.mean(axis=1)[:, None]
-    eig = leading_eigenvector(centered @ centered.T, tol=1e-8, max_iter=10_000, seed=0)
+    direction = np.linalg.eigh(centered @ centered.T)[1][:, -1]
     gamma = 0.5 * (config.centers[0] - config.centers[1])
-    return bool(abs(float(gamma @ eig.vector)) > 1.0)
+    return bool(abs(float(gamma @ direction)) > 1.0)
 
 
 def run_trial(
@@ -247,10 +246,6 @@ def run_trial(
         raise ValueError(f"unknown solver {solver!r}")
     streams = derive_streams(seed)
     dataset = sample_stochastic_ball_model(replace(config, seed=streams.sample))
-    n_points = dataset.points.count
-    eps = None
-    if certify:
-        eps = epsilon if epsilon is not None else default_epsilon(n_points, 1.0)
 
     start = time.perf_counter()
     result = _solve(dataset, solver, config.k, streams.solver)
@@ -258,11 +253,13 @@ def run_trial(
     cert_decision = None
     detector_iters = None
     confidence_bound = None
+    eps = None
     if certify:
-        outcome = certify_partition(dataset.points, result.partition, eps, seed=streams.detector)
+        outcome = certify_partition(dataset.points, result.partition, epsilon, seed=streams.detector)
         cert_decision = outcome.decision.value
         detector_iters = outcome.detector.iterations if outcome.detector is not None else 0
         confidence_bound = outcome.confidence_bound
+        eps = outcome.epsilon
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     alignment = _alignment_diagnostic(dataset) if check_alignment else None
@@ -312,17 +309,11 @@ SUMMARY_CSV_HEADER = "delta,k,m,n,trials,errors,certified_rate,recovered_rate"
 
 def summarize_records(records: Sequence[TrialRecord]) -> list[CellSummary]:
     """Per-cell aggregates recomputed from raw rows (cells in row order)."""
-    order: list[tuple] = []
     groups: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        key = (rec.delta, rec.k, rec.m, rec.n)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.delta, rec.k, rec.m, rec.n), []).append(rec)
     out = []
-    for key in order:
-        recs = groups[key]
+    for key, recs in groups.items():
         out.append(
             CellSummary(
                 delta=key[0],
@@ -386,8 +377,9 @@ def run_sweep(
 
     Cells iterate delta-major (then k, m, n) and trials are numbered by a
     global trial_id, whose derived seed makes every trial independent and
-    the whole sweep reproducible.  Per-trial errors become rows with
-    cert_decision = "error" instead of aborting the sweep.
+    the whole sweep reproducible.  Every row records the grid's delta, not
+    the center separation recomputed from the placement.  Per-trial errors
+    become rows with cert_decision = "error" instead of aborting the sweep.
     """
     if not (len(deltas) and len(ks) and len(ms) and len(ns)):
         raise ValueError("grid must be nonempty")
@@ -409,6 +401,7 @@ def run_sweep(
                     trial_id=trial_id,
                     check_alignment=check_alignment,
                 )
+                rec = replace(rec, delta=float(delta))
             except ValueError as exc:
                 rec = TrialRecord(
                     trial_id=trial_id,
@@ -530,12 +523,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         result = _solve_dataset(dataset, args)
         partition, tag = result.partition, result.solver_tag
-    epsilon = args.epsilon if args.epsilon is not None else default_epsilon(dataset.points.count, 1.0)
-    outcome = certify_partition(dataset.points, partition, epsilon, seed=args.seed)
+    outcome = certify_partition(dataset.points, partition, args.epsilon, seed=args.seed)
     print(f"partition: {tag}")
     print(f"decision: {outcome.decision.value}")
     print(f"z: {outcome.z!r}")
-    print(f"epsilon: {epsilon!r}")
+    print(f"epsilon: {outcome.epsilon!r}")
     print(f"confidence_bound: {outcome.confidence_bound!r}")
     if outcome.detector is not None:
         print(f"detector_iterations: {outcome.detector.iterations}")
@@ -667,6 +659,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.command_parser.set_defaults(**_config_defaults(args.command_parser, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
+    except ValueError as exc:
+        # the library rejected an argument combination, such as spectral2 with k = 3
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

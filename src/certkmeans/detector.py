@@ -27,7 +27,6 @@ __all__ = [
     "EigenvectorMismatchError",
     "power_iteration_detect",
     "default_epsilon",
-    "pi_epsilon_bound",
 ]
 
 Operator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
@@ -157,26 +156,12 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
     return DetectorOutcome(DetectorDecision.INCONCLUSIVE, config.max_iter, align, rayleigh, lam)
 
 
-def default_epsilon(n: int, c: float = 1.0) -> float:
-    """Dimension-calibrated tolerance n^-(2c+1).
+def default_epsilon(n: int) -> float:
+    """Dimension-calibrated tolerance n^-3.
 
-    Clamped below by n^-1 e^-2n, the validity floor of the
-    3 sqrt(n * epsilon) false-rejection bound.
+    It stays above n^-1 e^-2n, the validity floor of the 3 sqrt(n * epsilon)
+    false-rejection bound, because e^2n >= n^2 for every n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    return max(float(n) ** -(2.0 * c + 1.0), math.exp(-2.0 * n) / n)
-
-
-def pi_epsilon_bound(n: int, epsilon: float) -> float:
-    """Upper bound 3 sqrt(n * epsilon) on the false-rejection probability.
-
-    Valid for epsilon >= n^-1 e^-2n; smaller epsilon is rejected.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if epsilon < math.exp(-2.0 * n) / n:
-        raise ValueError("epsilon below the validity floor n^-1 e^-2n")
-    return 3.0 * math.sqrt(n * epsilon)
+    return float(n) ** -3.0

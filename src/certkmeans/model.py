@@ -36,8 +36,6 @@ __all__ = [
     "standard_centers",
     "kmeans_objective",
     "pairwise_sq_distances",
-    "normalized_partition_matrix",
-    "counterexample_1d_objectives",
     "write_dataset_csv",
     "read_dataset_csv",
 ]
@@ -114,10 +112,6 @@ class Partition:
     @property
     def count(self) -> int:
         return self.labels.size
-
-    def indices(self, a: int) -> np.ndarray:
-        """Indices of the points assigned to cluster ``a``."""
-        return np.flatnonzero(self.labels == a)
 
 
 def partition_from_labels(labels: Sequence[int]) -> Partition:
@@ -298,40 +292,6 @@ def pairwise_sq_distances(columns: np.ndarray) -> np.ndarray:
     np.maximum(dist, 0.0, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist
-
-
-def normalized_partition_matrix(partition: Partition) -> np.ndarray:
-    """The N x N membership matrix sum_a (1/n_a) 1_a 1_a^T.
-
-    The k-means objective equals one half the trace of D times this
-    matrix, D being the squared-distance matrix.
-    """
-    n = partition.count
-    x = np.zeros((n, n))
-    for a in range(partition.k):
-        idx = partition.indices(a)
-        x[np.ix_(idx, idx)] = 1.0 / idx.size
-    return x
-
-
-def counterexample_1d_objectives(delta: float) -> tuple[float, float]:
-    """Per-point k-means values of two clusterings of the 1-D endpoint model.
-
-    Consider two balls on the line centered at +/- delta/2 whose points sit
-    at the ball extremes, a quarter of the mass at each of the four
-    locations +/- delta/2 +/- 1.  Clustering by ball gives per-point value 1.
-    The competing split that makes the left-most location its own cluster
-    gives (2/3)(d^2 - d + 1) with d = delta/2, which is strictly smaller
-    exactly when delta < 1 + sqrt(3).
-
-    Returns:
-        (planted_per_point, alternative_per_point)
-    """
-    if delta <= 2.0:
-        raise ValueError("balls must be disjoint (delta > 2)")
-    d = delta / 2.0
-    alternative = 2.0 * (d * d - d + 1.0) / 3.0
-    return 1.0, alternative
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

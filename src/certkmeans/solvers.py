@@ -32,6 +32,13 @@ __all__ = [
     "stirling_partition_count",
 ]
 
+# power iteration stops once the residual drops below EIG_TOL * |rayleigh|,
+# or after EIG_MAX_ITER updates
+EIG_TOL = 1e-8
+EIG_MAX_ITER = 10_000
+# exhaustive search refuses inputs with more k-block partitions than this
+PARTITION_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -177,35 +184,28 @@ def lloyd(
     return SolveResult(partition, kmeans_objective(points, partition), iterations, "lloyd")
 
 
-def leading_eigenvector(
-    op: Operator,
-    n: Optional[int] = None,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> EigenResult:
+def leading_eigenvector(op: Operator, n: Optional[int] = None, *, seed: int = 0) -> EigenResult:
     """Power iteration for the leading (largest-magnitude) eigenpair.
 
     Stops once the eigenvector residual ||A q - (q^T A q) q|| drops below
-    tol * |q^T A q|; at the cap the best iterate seen is returned with
-    ``converged`` False.
+    EIG_TOL * |q^T A q|; at the cap of EIG_MAX_ITER updates the best iterate
+    seen is returned with ``converged`` False.
     """
     matvec, dim = as_matvec(op, n)
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
     best = (math.inf, q, 0.0, 0)
-    for it in range(max_iter + 1):
+    for it in range(EIG_MAX_ITER + 1):
         aq = matvec(q)
         rayleigh = float(q @ aq)
         residual = float(np.linalg.norm(aq - rayleigh * q))
-        if residual <= tol * abs(rayleigh):
+        if residual <= EIG_TOL * abs(rayleigh):
             return EigenResult(q, rayleigh, True, it)
         score = residual / abs(rayleigh) if rayleigh != 0.0 else math.inf
         if score < best[0]:
             best = (score, q, rayleigh, it)
-        if it == max_iter:
+        if it == EIG_MAX_ITER:
             break
         norm_aq = float(np.linalg.norm(aq))
         if norm_aq <= 1e-300:
@@ -271,13 +271,7 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     return ThresholdScan(order=order, v=v, v_c=v_c, f=f, argmin=best)
 
 
-def spectral_two_means(
-    points: PointSet,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> SolveResult:
+def spectral_two_means(points: PointSet, *, seed: int = 0) -> SolveResult:
     """Two-cluster spectral solver: center, take the leading principal
     direction, and pick the objective-minimizing threshold split along it.
 
@@ -293,12 +287,10 @@ def spectral_two_means(
     centered = cols - cols.mean(axis=1)[:, None]
     if points.dim <= n:
         gram = centered @ centered.T
-        eig = leading_eigenvector(gram, tol=tol, max_iter=max_iter, seed=seed)
+        eig = leading_eigenvector(gram, seed=seed)
         y = centered.T @ eig.vector
     else:
-        eig = leading_eigenvector(
-            lambda x: centered.T @ (centered @ x), n, tol=tol, max_iter=max_iter, seed=seed
-        )
+        eig = leading_eigenvector(lambda x: centered.T @ (centered @ x), n, seed=seed)
         y = eig.vector
     # fix the eigenvector's sign ambiguity so the result is well defined
     lead = int(np.argmax(np.abs(y)))
@@ -350,10 +342,10 @@ def _canonical_labelings(n: int, k: int) -> np.ndarray:
     return result
 
 
-def exact_kmeans_bruteforce(points: PointSet, k: int, partition_cap: int = 10_000_000) -> SolveResult:
+def exact_kmeans_bruteforce(points: PointSet, k: int) -> SolveResult:
     """Global optimum by exhaustive enumeration of all k-block partitions.
 
-    Guarded by the partition count S(N, k) <= ``partition_cap`` (about
+    Guarded by the partition count S(N, k) <= ``PARTITION_CAP`` (about
     N <= 12 for k <= 3).  Objectives are evaluated for all labelings at
     once with vectorized per-cluster statistics.
     """
@@ -363,8 +355,8 @@ def exact_kmeans_bruteforce(points: PointSet, k: int, partition_cap: int = 10_00
     if n < k:
         raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
     count = stirling_partition_count(n, k)
-    if count > partition_cap:
-        raise ValueError(f"{count} partitions exceed the cap of {partition_cap}")
+    if count > PARTITION_CAP:
+        raise ValueError(f"{count} partitions exceed the cap of {PARTITION_CAP}")
     labelings = _canonical_labelings(n, k)
     cols = points.columns
     sq = np.einsum("ij,ij->j", cols, cols)

@@ -5,6 +5,8 @@ matrix-free code paths: they build dense matrices straight from the
 definitions so the fast paths have something independent to match.
 """
 
+import math
+
 import numpy as np
 
 from certkmeans.model import (
@@ -100,6 +102,56 @@ def reference_partitions_equal(p, q):
     if p.count != q.count or p.k != q.k:
         return False
     return bool(np.array_equal(reference_canonical_labels(p.labels), reference_canonical_labels(q.labels)))
+
+
+def normalized_partition_matrix(partition):
+    """The N x N membership matrix sum_a (1/n_a) 1_a 1_a^T.
+
+    The k-means objective equals one half the trace of D times this
+    matrix, D being the squared-distance matrix.
+    """
+    n = partition.count
+    x = np.zeros((n, n))
+    for a in range(partition.k):
+        idx = np.flatnonzero(partition.labels == a)
+        x[np.ix_(idx, idx)] = 1.0 / idx.size
+    return x
+
+
+def counterexample_1d_objectives(delta):
+    """Per-point k-means values of two clusterings of the 1-D endpoint model.
+
+    Consider two balls on the line centered at +/- delta/2 whose points sit
+    at the ball extremes, a quarter of the mass at each of the four
+    locations +/- delta/2 +/- 1.  Clustering by ball gives per-point value 1.
+    The competing split that makes the left-most location its own cluster
+    gives (2/3)(d^2 - d + 1) with d = delta/2, which is strictly smaller
+    exactly when delta < 1 + sqrt(3).
+
+    Returns:
+        (planted_per_point, alternative_per_point)
+    """
+    if delta <= 2.0:
+        raise ValueError("balls must be disjoint (delta > 2)")
+    d = delta / 2.0
+    alternative = 2.0 * (d * d - d + 1.0) / 3.0
+    return 1.0, alternative
+
+
+def pi_epsilon_bound(n, epsilon):
+    """Upper bound 3 sqrt(n * epsilon) on the detector's false-rejection
+    probability; valid for epsilon >= n^-1 e^-2n, smaller epsilon is rejected."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if epsilon < math.exp(-2.0 * n) / n:
+        raise ValueError("epsilon below the validity floor n^-1 e^-2n")
+    return 3.0 * math.sqrt(n * epsilon)
+
+
+def dense_E(ctx):
+    """Dense E with blocks (1/2)(1/n_a + 1/n_b) 11^T for a certificate context."""
+    inv = np.repeat(1.0 / ctx.sizes, ctx.sizes)
+    return 0.5 * (inv[:, None] + inv[None, :])
 
 
 def reference_kmeans_pp_centers(cols, k, rng):

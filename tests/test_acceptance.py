@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ball_dataset
+from conftest import ball_dataset, counterexample_1d_objectives, dense_E
 from certkmeans.certificate import (
     CertifyDecision,
     apply_A,
@@ -16,12 +16,10 @@ from certkmeans.certificate import (
     certify_partition,
     corollary_check,
     dense_A,
-    dense_E,
 )
 from certkmeans.detector import DetectorConfig, DetectorDecision, power_iteration_detect
 from certkmeans.model import (
     PointSet,
-    counterexample_1d_objectives,
     kmeans_objective,
     partition_from_labels,
     partitions_equal,

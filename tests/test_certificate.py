@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ball_dataset, gaussian_instance, reference_M_block, reference_z
+from conftest import ball_dataset, dense_E, gaussian_instance, reference_M_block, reference_z
 from certkmeans.certificate import (
     CertificateUndefinedError,
     CertifyDecision,
-    ImplicitOperator,
     apply_A,
     build_certificate_context,
     certify_partition,
     corollary_check,
     dense_A,
     dense_B,
-    dense_E,
     dense_M,
     dense_certificate_gap,
     dense_projection,
     diagnostics_csv,
     recover_alpha,
 )
+from certkmeans.detector import default_epsilon
 from certkmeans.model import (
     PointSet,
     kmeans_objective,
@@ -157,15 +156,13 @@ class TestOperator:
     def test_operator_symmetry_probes(self):
         ds = ball_dataset(seed=5, k=2, m=4, n=40, delta=2.5)
         ctx = build_certificate_context(ds.points, ds.planted)
-        op = ImplicitOperator(ctx)
-        assert op.dim == ds.points.count
         rng = np.random.default_rng(1)
         scale = abs(ctx.z) + ctx.scale * ctx.n_points
         for _ in range(5):
-            x = rng.standard_normal(op.dim)
-            y = rng.standard_normal(op.dim)
-            lhs = float(x @ op(y))
-            rhs = float(y @ op(x))
+            x = rng.standard_normal(ds.points.count)
+            y = rng.standard_normal(ds.points.count)
+            lhs = float(x @ apply_A(ctx, y))
+            rhs = float(y @ apply_A(ctx, x))
             assert abs(lhs - rhs) <= 1e-10 * scale * np.linalg.norm(x) * np.linalg.norm(y)
 
     def test_dimension_mismatch(self):
@@ -335,6 +332,10 @@ class TestCertify:
         assert out.certified
         assert out.detector is not None
         assert out.confidence_bound == pytest.approx(3.0 * math.sqrt(512 * 512.0**-3))
+        assert out.epsilon == default_epsilon(512)
+        given = certify_partition(ds.points, ds.planted, epsilon=1e-6, seed=3)
+        assert given.epsilon == 1e-6
+        assert given.confidence_bound == 3.0 * math.sqrt(512 * 1e-6)
 
     def test_swapped_partition_never_certified(self):
         ds = ball_dataset(seed=13, k=2, m=2, n=4, delta=6.0)

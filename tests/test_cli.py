@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import certkmeans
+from certkmeans import cli
 from certkmeans.cli import (
     GAMMA,
     TRIAL_CSV_HEADER,
@@ -124,6 +125,24 @@ class TestSweep:
         assert all(r.cert_decision == "error" for r in records)
         assert all(r.objective is None for r in records)
         assert summaries[0].errors == 2
+
+    def test_grid_delta_recorded_for_every_row(self, monkeypatch):
+        # at k = 3 the placement's own separation for 2.8 is 2.7999999999999994;
+        # success and error rows of one cell must all read the grid value
+        calls = []
+        real_lloyd = cli.lloyd
+
+        def flaky_lloyd(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("injected solver failure")
+            return real_lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lloyd", flaky_lloyd)
+        records, summaries = run_sweep([2.8], [3], [6], [8], trials=3, base_seed=4, certify=True)
+        assert [r.cert_decision == "error" for r in records] == [False, True, False]
+        assert [repr(r.delta) for r in records] == ["2.8"] * 3
+        assert [(s.delta, s.trials, s.errors) for s in summaries] == [(2.8, 3, 1)]
 
     def test_aggregates_equal_recomputation(self):
         records, summaries = run_sweep([2.4, 3.0], [2], [4], [12], trials=3, base_seed=2, certify=True)
@@ -291,13 +310,16 @@ class TestCommandLine:
             assert exc.value.code == 2, argv
             assert capsys.readouterr().err.splitlines()[-1].startswith("certkmeans"), argv
 
-    def test_missing_required_returns_2(self, tmp_path, capsys):
+    def test_missing_required_returns_2(self, tmp_path, capsys, three_ball_csv):
         config = tmp_path / "conf.json"
         for argv, config_text, message in (
             (["generate", "--dim", "2"], None, "missing required option --out"),
             (["generate", "--config", str(config)], None, "cannot read config file"),  # no such file
             (["sweep", "--delta", "2.5", "--config", str(config)], "{not json", "cannot read config file"),
             (["bench", "--config", str(config)], "[64, 128]", "must hold a JSON object"),
+            # library ValueErrors: three balls need m >= 3, spectral2 needs k = 2
+            (["generate", "--clusters", "3", "--out", str(tmp_path / "x.csv")], None, "needs m >= k"),
+            (["solve", "--in", three_ball_csv, "--solver", "spectral2"], None, "two clusters only"),
         ):
             if config_text is not None:
                 config.write_text(config_text)

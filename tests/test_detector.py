@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ball_dataset, pi_epsilon_bound
+from certkmeans.certificate import certify_partition
 from certkmeans.detector import (
     DetectorConfig,
     DetectorDecision,
     EigenvectorMismatchError,
     default_epsilon,
-    pi_epsilon_bound,
     power_iteration_detect,
 )
 
@@ -142,18 +143,25 @@ class TestProperties:
 
 class TestEpsilonHelpers:
     def test_default_epsilon_values(self):
-        assert default_epsilon(100, 1.0) == pytest.approx(1e-6, rel=1e-15)
-        assert default_epsilon(10, 0.5) == pytest.approx(1e-2, rel=1e-15)
+        assert default_epsilon(100) == pytest.approx(1e-6, rel=1e-15)
+        assert default_epsilon(10) == pytest.approx(1e-3, rel=1e-15)
+        assert default_epsilon(512) == float(512) ** -3.0
+        with pytest.raises(ValueError):
+            default_epsilon(1)
 
     def test_default_epsilon_clamp(self):
-        # tiny n with huge c activates the validity floor
-        expected = max(2.0 ** -21, 0.5 * math.exp(-4.0))
-        assert default_epsilon(2, 10.0) == pytest.approx(expected, rel=1e-15)
-        assert expected == 0.5 * math.exp(-4.0)
+        # n^-3 never falls below the validity floor n^-1 e^-2n, so no clamp is needed
+        for n in (2, 3, 10, 372, 10**6):
+            assert default_epsilon(n) >= math.exp(-2.0 * n) / n
 
     def test_pi_epsilon_bound(self):
         assert pi_epsilon_bound(100, 1e-6) == pytest.approx(0.03, rel=1e-12)
         assert pi_epsilon_bound(64, 1e-8) == pytest.approx(3.0 * math.sqrt(6.4e-7), rel=1e-12)
+        # certify_partition reports the same bound for the epsilon it used
+        ds = ball_dataset(seed=1, n=16)
+        for epsilon in (None, 1e-4):
+            out = certify_partition(ds.points, ds.planted, epsilon, seed=0)
+            assert out.confidence_bound == pi_epsilon_bound(32, out.epsilon)
 
     def test_pi_epsilon_domain(self):
         n = 4

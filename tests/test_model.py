@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ball_dataset, pairwise_objective, reference_partitions_equal
+from conftest import (
+    ball_dataset,
+    counterexample_1d_objectives,
+    normalized_partition_matrix,
+    pairwise_objective,
+    reference_partitions_equal,
+)
 from certkmeans.model import (
     BallModelConfig,
     Dataset,
@@ -12,9 +18,7 @@ from certkmeans.model import (
     TWO_POINT_SYM,
     UNIFORM_BALL,
     UNIFORM_SPHERE,
-    counterexample_1d_objectives,
     kmeans_objective,
-    normalized_partition_matrix,
     pairwise_sq_distances,
     partition_from_labels,
     partitions_equal,

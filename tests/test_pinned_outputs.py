@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from certkmeans.certificate import certify_partition
-from certkmeans.cli import records_to_csv, run_sweep
+from certkmeans.cli import main, records_to_csv, run_sweep
 from certkmeans.model import BallModelConfig, sample_stochastic_ball_model, standard_centers
 from certkmeans.solvers import lloyd
 
@@ -34,10 +34,10 @@ SWEEP_CELLS = [
     (
         (2.0, 3, 6, 64, 4, 12),
         [
-            "0,11400714819323198497,6,3,64,1.9999999999999998,lloyd,143.87400191475945,true,not_certified,2,1.4128508391203703e-07,0.015625",
-            "1,4354685564936845366,6,3,64,1.9999999999999998,lloyd,146.6988612936083,true,not_certified,1,1.4128508391203703e-07,0.015625",
-            "2,15755400384260043851,6,3,64,1.9999999999999998,lloyd,144.20013811399667,true,not_certified,1,1.4128508391203703e-07,0.015625",
-            "3,8709371129873690720,6,3,64,1.9999999999999998,lloyd,139.1764413209157,true,not_certified,3,1.4128508391203703e-07,0.015625",
+            "0,11400714819323198497,6,3,64,2.0,lloyd,143.87400191475945,true,not_certified,2,1.4128508391203703e-07,0.015625",
+            "1,4354685564936845366,6,3,64,2.0,lloyd,146.6988612936083,true,not_certified,1,1.4128508391203703e-07,0.015625",
+            "2,15755400384260043851,6,3,64,2.0,lloyd,144.20013811399667,true,not_certified,1,1.4128508391203703e-07,0.015625",
+            "3,8709371129873690720,6,3,64,2.0,lloyd,139.1764413209157,true,not_certified,3,1.4128508391203703e-07,0.015625",
         ],
     ),
 ]
@@ -50,6 +50,27 @@ K3_TRIALS = {
         "83.95445873301902", "31.005005608491906", "not_certified", 1),
     3: ("e960ce93fb8282383e520afb764e57c44e60c0a6974b3310f19008fe0850f190",
         "85.47784737483695", "26.95337138330675", "not_certified", 1),
+}
+
+# stdout of `certkmeans certify --use-planted --seed 2` on the generated
+# dataset below, with the default epsilon and with --epsilon 1e-6
+CERTIFY_STDOUT = {
+    (): (
+        "partition: planted\n"
+        "decision: certified_optimal\n"
+        "z: 90.94936873628492\n"
+        "epsilon: 4.76837158203125e-07\n"
+        "confidence_bound: 0.0234375\n"
+        "detector_iterations: 17\n"
+    ),
+    ("--epsilon", "1e-6"): (
+        "partition: planted\n"
+        "decision: certified_optimal\n"
+        "z: 90.94936873628492\n"
+        "epsilon: 1e-06\n"
+        "confidence_bound: 0.03394112549695428\n"
+        "detector_iterations: 16\n"
+    ),
 }
 
 
@@ -76,3 +97,13 @@ def test_sample_lloyd_certify(seed):
         outcome.detector.iterations,
     )
     assert got == K3_TRIALS[seed]
+
+
+@pytest.mark.parametrize("extra", sorted(CERTIFY_STDOUT))
+def test_certify_stdout(tmp_path, capsys, extra):
+    data = str(tmp_path / "data.csv")
+    generate = ["generate", "--dim", "6", "--clusters", "2", "--per-ball", "64", "--delta", "2.3", "--seed", "7"]
+    assert main(generate + ["--out", data]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--in", data, "--use-planted", "--seed", "2", *extra]) == 0
+    assert capsys.readouterr().out == CERTIFY_STDOUT[extra]

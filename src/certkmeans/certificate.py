@@ -89,7 +89,8 @@ class CertificateContext:
         u[(a, b)]   = M^(a,b) 1 - z (n_a + n_b) / (2 n_a) 1   (>= 0)
         rho[{a, b}] = u_(a,b)^T 1  (= u_(b,a)^T 1; stored symmetrized)
 
-    with M^(a,b) = D^(a,b) + mu_a 1^T + 1 mu_b^T.
+    with M^(a,b) = D^(a,b) + mu_a 1^T + 1 mu_b^T.  ``blocks[a]`` slices cluster
+    a; ``terms[a]`` holds (u_(a,b), u_(b,a), blocks[b], rho_ab) for b != a, ascending.
     """
 
     phi: np.ndarray
@@ -104,6 +105,8 @@ class CertificateContext:
     min_u: dict[tuple[int, int], float]
     scale: float
     undefined_pairs: tuple[tuple[int, int], ...]
+    blocks: tuple[slice, ...]
+    terms: tuple[tuple[tuple[np.ndarray, np.ndarray, slice, float], ...], ...]
 
     @property
     def n_points(self) -> int:
@@ -122,7 +125,7 @@ class CertificateContext:
         return len(self.undefined_pairs) > 0
 
     def block(self, a: int) -> slice:
-        return slice(int(self.offsets[a]), int(self.offsets[a + 1]))
+        return self.blocks[a]
 
     def rho_of(self, a: int, b: int) -> float:
         return self.rho[(a, b) if a < b else (b, a)]
@@ -150,12 +153,9 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     sq_norms = np.einsum("ij,ij->j", phi, phi)
     scale = float(sq_norms.mean())
 
-    col_sums = []
-    sq_sums = []
-    blocks = [slice(int(offsets[a]), int(offsets[a + 1])) for a in range(k)]
-    for a in range(k):
-        col_sums.append(phi[:, blocks[a]].sum(axis=1))
-        sq_sums.append(float(sq_norms[blocks[a]].sum()))
+    blocks = tuple(slice(int(offsets[a]), int(offsets[a + 1])) for a in range(k))
+    col_sums = [phi[:, blk].sum(axis=1) for blk in blocks]
+    sq_sums = [float(sq_norms[blk].sum()) for blk in blocks]
 
     mu = []
     for a in range(k):
@@ -199,6 +199,10 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
             rho[(a, b)] = val
             if val <= RHO_REL_TOLERANCE * n_total * scale:
                 undefined.append((a, b))
+    terms = tuple(
+        tuple((u[(a, b)], u[(b, a)], blocks[b], rho[(min(a, b), max(a, b))]) for b in range(k) if b != a)
+        for a in range(k)
+    )
 
     return CertificateContext(
         phi=phi,
@@ -213,6 +217,8 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
         min_u=min_u,
         scale=scale,
         undefined_pairs=tuple(undefined),
+        blocks=blocks,
+        terms=terms,
     )
 
 
@@ -229,21 +235,11 @@ def _apply_distance(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
 
 def _apply_offdiag_blocks(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
     """B x using the rank-one blocks: (Bx)_a = sum_b u_(a,b) (u_(b,a)^T x_b) / rho."""
-    k = ctx.n_clusters
-    dots = {
-        (b, a): float(ctx.u[(b, a)] @ x[ctx.block(b)])
-        for a in range(k)
-        for b in range(k)
-        if a != b
-    }
     out = np.zeros_like(x)
-    for a in range(k):
-        acc = np.zeros(int(ctx.sizes[a]))
-        for b in range(k):
-            if b == a:
-                continue
-            acc += ctx.u[(a, b)] * (dots[(b, a)] / ctx.rho_of(a, b))
-        out[ctx.block(a)] = acc
+    for blk_a, terms in zip(ctx.blocks, ctx.terms):
+        seg = out[blk_a]
+        for u_ab, u_ba, blk_b, rho in terms:
+            seg += u_ab * (float(u_ba @ x[blk_b]) / rho)
     return out
 
 
@@ -368,9 +364,7 @@ def recover_alpha(ctx: CertificateContext) -> np.ndarray:
     alpha_{a,r} = -z/n_a + (1/n_a^2) 1^T D^(a,a) 1 - (2/n_a) e_r^T D^(a,a) 1,
     which equals -z/n_a + 2 mu_{a,r}.
     """
-    parts = []
-    for a in range(ctx.n_clusters):
-        parts.append(-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a])
+    parts = [-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a] for a in range(ctx.n_clusters)]
     alpha = np.empty(ctx.n_points)
     alpha[ctx.perm] = np.concatenate(parts)
     return alpha

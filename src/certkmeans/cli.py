@@ -118,7 +118,7 @@ def _fmt_opt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # np.float64's own repr is "np.float64(...)"
     return str(value)
 
 

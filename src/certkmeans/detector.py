@@ -145,7 +145,7 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
             return DetectorOutcome(DetectorDecision.REJECT_H0_ACCEPT_H1, j, align, rayleigh, lam)
         if j == config.max_iter:
             break
-        norm_aq = float(np.linalg.norm(aq))
+        norm_aq = math.sqrt(aq.dot(aq))
         if norm_aq <= 1e-300:
             # q is a null direction.  If lam == 0 as well, eigenvalue 0 is
             # shared by v and q, so it cannot be uniquely dominant.

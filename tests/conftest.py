@@ -187,3 +187,25 @@ def reference_repair_empty(cols, labels, centers, k):
         labels[j] = a
         counts[a] = 1
     return labels
+
+
+def reference_apply_A(ctx, x):
+    """A x with the off-diagonal product formed the dict-based way: every
+    dot u_(b,a)^T x_b into a dict first, then one accumulator per block,
+    summed in ascending b and copied into the output.  Same arithmetic as
+    the library's per-block plan, so apply_A must match it bit for bit."""
+    from certkmeans.certificate import _apply_distance, _project_off_blocks
+
+    k = ctx.n_clusters
+    blocks = [slice(int(ctx.offsets[a]), int(ctx.offsets[a + 1])) for a in range(k)]
+    x = np.asarray(x, dtype=float)
+    y = _project_off_blocks(ctx, x)
+    dots = {(b, a): float(ctx.u[(b, a)] @ y[blocks[b]]) for a in range(k) for b in range(k) if a != b}
+    off = np.zeros_like(y)
+    for a in range(k):
+        acc = np.zeros(int(ctx.sizes[a]))
+        for b in range(k):
+            if b != a:
+                acc += ctx.u[(a, b)] * (dots[(b, a)] / ctx.rho[(min(a, b), max(a, b))])
+        off[blocks[a]] = acc
+    return _project_off_blocks(ctx, off - _apply_distance(ctx, y)) + (ctx.z / ctx.n_points) * x.sum()

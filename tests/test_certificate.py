@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ball_dataset, dense_E, gaussian_instance, reference_M_block, reference_z
+from conftest import (
+    ball_dataset,
+    dense_E,
+    gaussian_instance,
+    reference_apply_A,
+    reference_M_block,
+    reference_z,
+)
 from certkmeans.certificate import (
     CertificateUndefinedError,
     CertifyDecision,
@@ -176,6 +183,58 @@ class TestOperator:
         ctx = build_certificate_context(ds.points, ds.planted)
         with pytest.raises(ValueError, match="dense"):
             dense_A(ctx)
+
+
+PLAN_SIZES = {"sizes1-6-9": (1, 6, 9), "sizes1-2-13": (1, 2, 13), "sizes5-1-2-11": (5, 1, 2, 11),
+              "sizes3-17": (3, 17), "sizes1-40": (1, 40)}
+PLAN_CASES = [f"k{k}" for k in range(2, 11)] + sorted(PLAN_SIZES) + ["duplicated", "shift1e4"]
+
+
+def plan_instance(name):
+    """A defined context for the bit-identity checks: k = 2..10, unequal
+    sizes with singletons, duplicated points or data shifted by 1e4."""
+    if name in PLAN_SIZES:
+        points, part = gaussian_instance(300, PLAN_SIZES[name], m=3)
+    elif name == "duplicated":
+        points, part = gaussian_instance(310, (4, 7, 5), m=2)
+        points = PointSet(np.repeat(points.columns, 2, axis=1))
+        part = partition_from_labels(np.repeat(part.labels, 2))
+    elif name == "shift1e4":
+        ds = ball_dataset(seed=311, k=3, m=4, n=20, delta=3.0)
+        points, part = PointSet(ds.points.columns + 1e4), ds.planted
+    else:
+        k = int(name[1:])
+        ds = ball_dataset(seed=k, k=k, m=max(k, 3), n=6 + k, delta=3.0)
+        points, part = ds.points, ds.planted
+    ctx = build_certificate_context(points, part)
+    assert not ctx.is_undefined
+    return ctx
+
+
+class TestOperatorPlan:
+    @pytest.mark.parametrize("name", PLAN_CASES)
+    def test_apply_A_bit_identical_to_dict_reference(self, name):
+        ctx = plan_instance(name)
+        rng = np.random.default_rng(len(name))
+        n = ctx.n_points
+        for x in [np.ones(n), np.arange(n), rng.standard_normal(n), rng.standard_normal(n) * 1e6]:
+            got = apply_A(ctx, x)
+            ref = reference_apply_A(ctx, x)
+            assert np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", PLAN_CASES)
+    def test_plan_matches_offsets_and_shares_u(self, name):
+        ctx = plan_instance(name)
+        k = ctx.n_clusters
+        for a in range(k):
+            assert ctx.block(a) == slice(int(ctx.offsets[a]), int(ctx.offsets[a + 1]))
+            others = [b for b in range(k) if b != a]
+            assert len(ctx.terms[a]) == len(others)
+            for b, (u_ab, u_ba, blk_b, rho) in zip(others, ctx.terms[a]):
+                assert u_ab is ctx.u[(a, b)] and u_ba is ctx.u[(b, a)]
+                assert blk_b == ctx.block(b)
+                assert rho == ctx.rho_of(a, b)
 
 
 class TestSpectrumStructure:

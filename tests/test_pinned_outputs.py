@@ -7,14 +7,19 @@ a seed stream or a solver path changed by accident.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from certkmeans.certificate import certify_partition
+from certkmeans.certificate import build_certificate_context, certify_partition
 from certkmeans.cli import main, records_to_csv, run_sweep
 from certkmeans.model import BallModelConfig, sample_stochastic_ball_model, standard_centers
-from certkmeans.solvers import lloyd
+from certkmeans.solvers import lloyd, spectral_two_means
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import oracle  # noqa: E402
 
 HEADER = (
     "trial_id,seed,m,k,n,delta,solver,objective,recovered,"
@@ -107,3 +112,67 @@ def test_certify_stdout(tmp_path, capsys, extra):
     capsys.readouterr()
     assert main(["certify", "--in", data, "--use-planted", "--seed", "2", *extra]) == 0
     assert capsys.readouterr().out == CERTIFY_STDOUT[extra]
+
+# (solver, k, m, delta, N, seed) -> (sha256 of the int64 labels, repr(z),
+# decision, detector iterations, oracle.exact_spectrum(...).certifiable).
+# A row whose decision is not_certified while the oracle flag is True is a
+# known false NOT_CERTIFIED: the detector misses a valid certificate there.
+VERDICT_TABLE = {
+    ("spectral2", 2, 6, 2.3, 2**14, 0): (
+        "a8a8bace783f0b0ef3b5693572de975e0be5e695a7b19bc620b68ad460d7cf73",
+        "7553.695061289083", "certified_optimal", 27, True),
+    ("spectral2", 2, 6, 2.3, 2**14, 1): (
+        "bc70a833973c13e02c4f2b950805f70e2a1945c1bec2ab39e2480775cc3b33c4",
+        "8451.018941531602", "certified_optimal", 30, True),
+    ("spectral2", 2, 6, 2.3, 2**14, 2): (
+        "bc70a833973c13e02c4f2b950805f70e2a1945c1bec2ab39e2480775cc3b33c4",
+        "7800.990903697855", "certified_optimal", 32, True),
+    ("spectral2", 2, 6, 2.3, 2**14, 3): (
+        "a8a8bace783f0b0ef3b5693572de975e0be5e695a7b19bc620b68ad460d7cf73",
+        "7020.826033948174", "certified_optimal", 37, True),
+    ("spectral2", 2, 6, 2.3, 2**16, 0): (
+        "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
+        "26773.082381583223", "certified_optimal", 64, True),
+    ("spectral2", 2, 6, 2.3, 2**16, 1): (
+        "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
+        "28491.88108483777", "not_certified", 40, True),
+    ("spectral2", 2, 6, 2.3, 2**16, 2): (
+        "1b3160a4d1aedb090046134e213782f1cf06356b8dbb05b9c3314e10b5ee78cb",
+        "24424.082866609388", "not_certified", 63, True),
+    ("spectral2", 2, 6, 2.3, 2**16, 3): (
+        "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
+        "30539.862652128206", "not_certified", 37, True),
+    ("lloyd", 10, 50, 5.0, 20480, 0): (
+        "a1de9f2b6ee9bd71260bf1a8f898628ee8b73da89cf806213a3c6bfbc216ac13",
+        "0.3769191297185194", "not_certified", 0, False),
+    ("lloyd", 10, 50, 5.0, 20480, 1): (
+        "0decb8edd1efc45c4ef7fd55e4b77b27b26a1c14780b37f6174b91d1e20aafec",
+        "40101.839984434504", "not_certified", 8, True),
+    ("lloyd", 10, 50, 5.0, 20480, 2): (
+        "96f5d81b5bc2b646157a925ab9f9e0fa69a8f88965abda2b998c1a7c2fb2291e",
+        "38868.64153660523", "certified_optimal", 7, True),
+}
+
+
+def verdict_row(solver, k, m, delta, n, seed):
+    """Sample, solve and certify one planted instance: data seed ``seed``,
+    solver seed + 100, detector seed + 200.  Returns the labels' sha256,
+    repr(z), the decision, the detector iterations and the exact oracle's
+    certifiable flag."""
+    config = BallModelConfig(centers=standard_centers(k, m, delta), per_ball=n // k, seed=seed)
+    points = sample_stochastic_ball_model(config).points
+    if solver == "spectral2":
+        result = spectral_two_means(points, seed=seed + 100)
+    else:
+        result = lloyd(points, k, seed=seed + 100)
+    outcome = certify_partition(points, result.partition, seed=seed + 200)
+    ctx = build_certificate_context(points, result.partition)
+    certifiable = not ctx.is_undefined and oracle.exact_spectrum(ctx).certifiable
+    labels = np.asarray(result.partition.labels, dtype=np.int64).tobytes()
+    iterations = outcome.detector.iterations if outcome.detector else None
+    return (hashlib.sha256(labels).hexdigest(), repr(outcome.z), outcome.decision.value, iterations, certifiable)
+
+
+@pytest.mark.parametrize("row", sorted(VERDICT_TABLE), ids=lambda r: f"{r[0]}-k{r[1]}-N{r[4]}-seed{r[5]}")
+def test_verdict_table(row):
+    assert verdict_row(*row) == VERDICT_TABLE[row]

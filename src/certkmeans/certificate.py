@@ -153,9 +153,12 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     sq_norms = np.einsum("ij,ij->j", phi, phi)
     scale = float(sq_norms.mean())
 
+    col_sums = []
+    sq_sums = []
     blocks = tuple(slice(int(offsets[a]), int(offsets[a + 1])) for a in range(k))
-    col_sums = [phi[:, blk].sum(axis=1) for blk in blocks]
-    sq_sums = [float(sq_norms[blk].sum()) for blk in blocks]
+    for a in range(k):
+        col_sums.append(phi[:, blocks[a]].sum(axis=1))
+        sq_sums.append(float(sq_norms[blocks[a]].sum()))
 
     mu = []
     for a in range(k):
@@ -364,7 +367,9 @@ def recover_alpha(ctx: CertificateContext) -> np.ndarray:
     alpha_{a,r} = -z/n_a + (1/n_a^2) 1^T D^(a,a) 1 - (2/n_a) e_r^T D^(a,a) 1,
     which equals -z/n_a + 2 mu_{a,r}.
     """
-    parts = [-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a] for a in range(ctx.n_clusters)]
+    parts = []
+    for a in range(ctx.n_clusters):
+        parts.append(-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a])
     alpha = np.empty(ctx.n_points)
     alpha[ctx.perm] = np.concatenate(parts)
     return alpha

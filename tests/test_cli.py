@@ -183,24 +183,12 @@ class TestCsvSchema:
         assert records_to_csv(records).splitlines()[0] == TRIAL_CSV_HEADER
 
     def test_round_trip(self):
-        records, _ = run_sweep([2.5, 3.1], [2], [3], [8], trials=2, base_seed=9, certify=True)
-        back = parse_records_csv(records_to_csv(records))
-        assert [dataclasses.replace(r, error=None) for r in records] == back
-
-    def test_numpy_float_epsilon_round_trips(self):
         # np.float64 is a float subclass whose own repr, "np.float64(1e-05)",
         # parse_records_csv cannot read
-        records, _ = run_sweep([2.5], [2], [4], [8], 1, certify=True, epsilon=np.float64(1e-5))
-        text = records_to_csv(records)
-        assert text.splitlines()[1].split(",")[11] == "1e-05"
-        back = parse_records_csv(text)
-        assert back[0].epsilon == 1e-5
-        assert [dataclasses.replace(r, error=None) for r in records] == back
-
-    def test_default_epsilon_csv_text_unchanged(self):
-        records, _ = run_sweep([2.5], [2], [4], [8], 1, certify=True)
-        row = records_to_csv(records).splitlines()[1].rsplit(",", 1)[0]  # drop wall_ms
-        assert row == "0,11400714819323198485,4,2,8,2.5,lloyd,8.314831561056408,true,certified_optimal,9,0.000244140625,0.1875"
+        for epsilon in (None, np.float64(1e-5)):
+            records, _ = run_sweep([2.5, 3.1], [2], [3], [8], trials=2, base_seed=9, certify=True, epsilon=epsilon)
+            back = parse_records_csv(records_to_csv(records))
+            assert [dataclasses.replace(r, error=None) for r in records] == back
 
     def test_alignment_column_appended(self):
         records, _ = run_sweep([2.5], [2], [4], [8], trials=1, base_seed=4, check_alignment=True)

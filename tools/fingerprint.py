@@ -2,13 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/fingerprint.py --seeds 7 11 --ops 12 --out after.jsonl
+    python3 tools/fingerprint.py --out after.jsonl
     python3 tools/fingerprint.py --diff before.jsonl after.jsonl
 
-The first form runs ``op.run(op.prepare(seed, i))`` for ops 0 .. ops-1 of
-every workload in ``bench/workloads.py`` (imported, never modified) and
-writes one JSON line per trial: the sha256 of its int64 labels and the
-``repr`` of its objective, recovery flag, z, decision, detector iterations,
+The first form runs ``op.run(op.prepare(seed, i))`` for ops 0 .. OPS-1 at
+each of SEEDS on every workload in ``bench/workloads.py`` (imported, never
+modified) and writes one JSON line per trial: the sha256 of its int64 labels
+and the ``repr`` of its objective, recovery flag, z, decision, detector iterations,
 final Rayleigh quotient, final alignment, lambda and confidence bound.  The
 library comes from the ``src`` directory of the same checkout, so running
 the script from two checkouts fingerprints two versions of the code.
@@ -26,6 +26,8 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (7, 11)
+OPS = 12
 
 
 def trial_record(workload: str, seed: int, op: int, index: int, trial) -> dict:
@@ -51,14 +53,14 @@ def trial_record(workload: str, seed: int, op: int, index: int, trial) -> dict:
     }
 
 
-def fingerprint(seeds, ops: int):
+def fingerprint():
     """Yield the record of every trial, workload by workload, seed by seed."""
     sys.path.insert(0, str(BENCH))
     import workloads
 
     for name, op in workloads.WORKLOADS.items():
-        for seed in seeds:
-            for i in range(ops):
+        for seed in SEEDS:
+            for i in range(OPS):
                 for index, trial in enumerate(op.run(op.prepare(seed, i)).trials):
                     yield trial_record(name, seed, i, index, trial)
 
@@ -76,8 +78,6 @@ def first_difference(lines_a, lines_b):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
-    parser.add_argument("--ops", type=int, default=12)
     parser.add_argument("--out", help="output JSONL file (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two fingerprint files")
     args = parser.parse_args(argv)
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for record in fingerprint(args.seeds, args.ops):
+        for record in fingerprint():
             out.write(json.dumps(record) + "\n")
     finally:
         if args.out:

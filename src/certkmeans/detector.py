@@ -112,7 +112,8 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
 
     Raises:
         EigenvectorMismatchError: v is not unit-norm within 1e-10, or its
-            eigenvector residual exceeds ``EIGRES_TOL``.
+            eigenvector residual exceeds ``EIGRES_TOL`` times the largest of
+            |lam|, ||A v|| and ||A q|| for the random unit start q.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -124,19 +125,21 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
     av = matvec(v)
     lam = float(v @ av)
     residual = float(np.linalg.norm(av - lam * v))
-    if residual > EIGRES_TOL * max(abs(lam), float(np.linalg.norm(av))):
+
+    rng = np.random.default_rng(config.seed)
+    q = rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    aq = matvec(q)
+    # roundoff in A v scales with the size of A, not with lam: ||A q|| for
+    # the random unit start estimates it when lam is tiny
+    if residual > EIGRES_TOL * max(abs(lam), float(np.linalg.norm(av)), float(np.linalg.norm(aq))):
         raise EigenvectorMismatchError(
             f"v is not an eigenvector: residual {residual:.3e} with eigenvalue {lam:.6e}"
         )
     abs_lam = abs(lam)
 
-    rng = np.random.default_rng(config.seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-
     align = rayleigh = math.nan
     for j in range(config.max_iter + 1):
-        aq = matvec(q)
         rayleigh = float(q @ aq)
         align = float(v @ q) ** 2
         if abs(rayleigh) > abs_lam:
@@ -153,6 +156,7 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
                 return DetectorOutcome(DetectorDecision.ACCEPT_H0, j, align, rayleigh, lam)
             return DetectorOutcome(DetectorDecision.INCONCLUSIVE, j, align, rayleigh, lam)
         q = aq / norm_aq
+        aq = matvec(q)
     return DetectorOutcome(DetectorDecision.INCONCLUSIVE, config.max_iter, align, rayleigh, lam)
 
 

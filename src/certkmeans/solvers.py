@@ -84,18 +84,28 @@ class ThresholdScan:
         return labels
 
 
-def _centroids(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    centers = np.empty((cols.shape[0], k))
+def _centroids(rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    # rows is the N x m point array; each cluster's contiguous row gather has
+    # the memory image of the column gather cols[:, mask] (F-ordered), so the
+    # mean sums in the same ascending point order
+    centers = np.empty((rows.shape[1], k))
     for a in range(k):
-        centers[:, a] = cols[:, labels == a].mean(axis=1)
+        centers[:, a] = rows[labels == a].mean(axis=0)
     return centers
 
 
 def _assign(cols: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared distance of every point to every center; argmin breaks ties
-    # toward the lower cluster index
+    # squared distance of every point to every center; ties go to the lower
+    # cluster index, as with argmin, by writing the labels from high to low
     d2 = (centers * centers).sum(axis=0)[:, None] - 2.0 * (centers.T @ cols) + sq_norms[None, :]
-    return np.argmin(d2, axis=0).astype(np.int64)
+    low = d2.min(axis=0)
+    if np.isnan(low).any():
+        # no entry equals a NaN minimum; argmin reports its first position
+        return np.argmin(d2, axis=0).astype(np.int64)
+    labels = np.zeros(d2.shape[1], dtype=np.int64)
+    for a in range(d2.shape[0] - 1, -1, -1):
+        np.copyto(labels, a, where=d2[a] == low)
+    return labels
 
 
 def _repair_empty(
@@ -104,10 +114,12 @@ def _repair_empty(
     """Re-seed each empty cluster with the point farthest from its centroid."""
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
-    diff = np.empty_like(cols)
     for a in np.flatnonzero(counts == 0):
-        np.subtract(cols, centers[:, labels], out=diff)
-        dist = np.einsum("ij,ij->j", diff, diff)
+        # coordinate by coordinate: the order of einsum("ij,ij->j") in O(N) memory
+        dist = np.zeros(labels.size)
+        for row, center in zip(cols, centers):
+            diff = row - center[labels]
+            dist += diff * diff
         movable = counts[labels] >= 2
         candidates = np.flatnonzero(movable)
         j = int(candidates[np.argmax(dist[candidates])])
@@ -164,9 +176,12 @@ def lloyd(
     if isinstance(init, Partition):
         if init.count != n or init.k != k:
             raise ValueError("initial partition does not match points/k")
-        centers = _centroids(cols, init.labels, k)
+        rows = np.ascontiguousarray(cols.T)
+        centers = _centroids(rows, init.labels, k)
     elif init == "kmeans++":
         centers = _kmeans_pp_centers(cols, k, np.random.default_rng(seed))
+        # copied after seeding returns, so its m x N buffer is freed first
+        rows = np.ascontiguousarray(cols.T)
     else:
         raise ValueError(f"unknown init {init!r}")
 
@@ -176,7 +191,7 @@ def lloyd(
         labels = _assign(cols, sq_norms, centers)
         if (np.bincount(labels, minlength=k) == 0).any():
             labels = _repair_empty(cols, labels, centers, k)
-        new_centers = _centroids(cols, labels, k)
+        new_centers = _centroids(rows, labels, k)
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
@@ -234,7 +249,12 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
         raise ValueError("y must have one entry per point")
     if n < 2:
         raise ValueError("need at least two points to split")
-    order = np.argsort(y, kind="stable")
+    # distinct keys have one sorting permutation, so any sort gives the
+    # stable order; ties (or NaN) need the stable sort itself
+    order = np.argsort(y)
+    sorted_y = y[order]
+    if not (sorted_y[1:] > sorted_y[:-1]).all():
+        order = np.argsort(y, kind="stable")
     cols = points.columns[:, order]
     sq = np.einsum("ij,ij->j", cols, cols)
 

@@ -173,6 +173,25 @@ def reference_kmeans_pp_centers(cols, k, rng):
     return cols[:, chosen].copy()
 
 
+def reference_centroids(rows, labels, k):
+    """Centroids from masked column gathers cols[:, labels == a] of the m x N
+    points, rebuilt from the N x m rows; the library's row gathers must
+    return bit-identical centers."""
+    cols = np.ascontiguousarray(rows.T)
+    centers = np.empty((cols.shape[0], k))
+    for a in range(k):
+        centers[:, a] = cols[:, labels == a].mean(axis=1)
+    return centers
+
+
+def reference_assign(cols, sq_norms, centers):
+    """Nearest-center labels by argmin over the same squared distances as
+    the library; argmin breaks ties toward the lower cluster index and
+    reports the first NaN of a column."""
+    d2 = (centers * centers).sum(axis=0)[:, None] - 2.0 * (centers.T @ cols) + sq_norms[None, :]
+    return np.argmin(d2, axis=0).astype(np.int64)
+
+
 def reference_repair_empty(cols, labels, centers, k):
     """Empty-cluster repair that forms cols - centers[:, labels] twice per
     empty cluster; the library's repair must return identical labels."""

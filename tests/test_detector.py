@@ -1,10 +1,12 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ball_dataset, pi_epsilon_bound
-from certkmeans.certificate import certify_partition
+from certkmeans.certificate import CertifyDecision, build_certificate_context, certify_partition
 from certkmeans.detector import (
     DetectorConfig,
     DetectorDecision,
@@ -12,6 +14,11 @@ from certkmeans.detector import (
     default_epsilon,
     power_iteration_detect,
 )
+from certkmeans.model import BallModelConfig, sample_stochastic_ball_model, standard_centers
+from certkmeans.solvers import lloyd
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import oracle  # noqa: E402
 
 
 def unit(v):
@@ -65,6 +72,36 @@ class TestPreconditions:
     def test_non_eigenvector_v(self):
         with pytest.raises(EigenvectorMismatchError):
             power_iteration_detect(np.diag([1.0, 2.0]), unit([1.0, 1.0]), DetectorConfig(epsilon=1e-4))
+
+    def test_tiny_eigenvalue_of_a_large_operator(self):
+        # op 77 of the many-clusters benchmark at seed 914: Lloyd sticks at a
+        # partition with z = 5.9e-5 while ||A q|| is about 51 for the random
+        # start; the residual 2.3e-12 of v is roundoff on the scale of A
+        s_data, s_solve, s_detect = (
+            int(s) for s in np.random.SeedSequence([914, 77]).generate_state(3, np.uint64)
+        )
+        config = BallModelConfig(centers=standard_centers(10, 50, 5.0), per_ball=2048, seed=s_data)
+        points = sample_stochastic_ball_model(config).points
+        partition = lloyd(points, 10, seed=s_solve).partition
+        out = certify_partition(points, partition, seed=s_detect)
+        assert 0.0 < out.z < 1e-4
+        assert out.decision is CertifyDecision.NOT_CERTIFIED
+        assert out.detector.decision is DetectorDecision.ACCEPT_H0
+        assert out.detector.iterations == 0
+        # the exact spectrum agrees: another eigenvalue dominates z
+        assert oracle.exact_spectrum(build_certificate_context(points, partition)).lam_max > out.z
+
+    def test_one_product_per_iteration(self):
+        # the product of the random start serves both the residual check and
+        # iteration 0, so a run costs one product for v plus one per iteration
+        mat = np.diag([3.0, 1.0, -0.5, 0.2])
+        for v, expected in ((e(0, 4), DetectorDecision.REJECT_H0_ACCEPT_H1), (e(1, 4), DetectorDecision.ACCEPT_H0)):
+            calls = []
+            out = power_iteration_detect(
+                lambda x: calls.append(1) or mat @ x, v, DetectorConfig(epsilon=1e-8, seed=6)
+            )
+            assert out.decision is expected
+            assert len(calls) == out.iterations + 2
 
     def test_epsilon_range(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

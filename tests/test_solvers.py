@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ball_dataset, reference_kmeans_pp_centers, reference_repair_empty
+from conftest import (
+    ball_dataset,
+    reference_assign,
+    reference_centroids,
+    reference_kmeans_pp_centers,
+    reference_repair_empty,
+)
 from certkmeans import solvers
 from certkmeans.model import (
     PointSet,
@@ -80,18 +87,61 @@ class TestLloyd:
             got = solvers._kmeans_pp_centers(cols, k, np.random.default_rng(seed))
             want = reference_kmeans_pp_centers(cols, k, np.random.default_rng(seed))
             assert np.array_equal(got, want)
+            # one Lloyd step on the same points, block-sorted and shuffled labels
+            n = cols.shape[1]
+            rows = np.ascontiguousarray(cols.T)
+            sq_norms = np.einsum("ij,ij->j", cols, cols)
+            for labels in (np.sort(np.arange(n) % k), rng.permutation(np.arange(n) % k)):
+                centers = solvers._centroids(rows, labels, k)
+                assert np.array_equal(centers, reference_centroids(rows, labels, k))
+                got = solvers._assign(cols, sq_norms, centers)
+                assert np.array_equal(got, reference_assign(cols, sq_norms, centers))
         # whole Lloyd runs; 3 distinct points and k = 5 force empty-cluster repair
         ds = ball_dataset(seed=9, k=3, m=4, n=40, delta=2.0)
         dup = PointSet(np.repeat(ds.points.columns[:, :3], 8, axis=1) + 1e4)
-        runs = [(pts, k, s) for pts, k in ((ds.points, 3), (ds.points, 7), (dup, 5)) for s in range(4)]
-        fast = [lloyd(pts, k, seed=s) for pts, k, s in runs]
-        monkeypatch.setattr(solvers, "_kmeans_pp_centers", reference_kmeans_pp_centers)
-        monkeypatch.setattr(solvers, "_repair_empty", reference_repair_empty)
-        for (pts, k, s), got in zip(runs, fast):
-            want = lloyd(pts, k, seed=s)
-            assert np.array_equal(got.partition.labels, want.partition.labels)
-            assert got.objective == want.objective
-            assert got.iterations == want.iterations
+        line = PointSet((3.0 * rng.integers(4, size=120) + rng.random(120))[None, :])
+        shuffled = PointSet(ds.points.columns[:, rng.permutation(ds.points.count)])
+        grid = PointSet(np.round(rng.standard_normal((2, 90)) * 2.0))  # many exact ties
+        # far cluster: |c|^2 and x^T c overflow, so its distances are inf - inf = NaN
+        huge = PointSet(np.concatenate((rng.standard_normal((3, 20)), 1e200 * (1.0 + rng.random((3, 20)))), axis=1))
+        runs = [
+            (pts, k, {"seed": s})
+            for pts, k in ((ds.points, 3), (ds.points, 7), (dup, 5), (line, 4), (shuffled, 3), (grid, 6))
+            for s in range(4)
+        ]
+        runs += [(line, k, {"seed": 0}) for k in range(1, 12)]
+        runs += [
+            (grid, 4, {"init": partition_from_labels(rng.permutation(np.arange(90) % 4))}),
+            (huge, 2, {"init": partition_from_labels(np.repeat([0, 1], 20))}),
+            (huge, 3, {"init": partition_from_labels(np.arange(40) % 3)}),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = [lloyd(pts, k, **kw) for pts, k, kw in runs]
+            monkeypatch.setattr(solvers, "_kmeans_pp_centers", reference_kmeans_pp_centers)
+            monkeypatch.setattr(solvers, "_repair_empty", reference_repair_empty)
+            monkeypatch.setattr(solvers, "_centroids", reference_centroids)
+            monkeypatch.setattr(solvers, "_assign", reference_assign)
+            for (pts, k, kw), got in zip(runs, fast):
+                want = lloyd(pts, k, **kw)
+                assert np.array_equal(got.partition.labels, want.partition.labels)
+                assert got.objective == want.objective
+                assert got.iterations == want.iterations
+
+    def test_repair_memory_below_one_copy_of_points(self):
+        # re-seeding an empty cluster needs O(N) scratch, not an m x N array
+        rng = np.random.default_rng(32)
+        m, n, k = 50, 20480, 10
+        cols = rng.standard_normal((m, n))
+        labels = np.arange(n) % (k - 1)  # cluster k - 1 is empty
+        centers = rng.standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            repaired = solvers._repair_empty(cols, labels, centers, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(repaired, minlength=k).all()
+        assert peak < cols.nbytes
 
     def test_identical_points_empty_repair(self):
         pts = PointSet(np.ones((2, 6)))
@@ -156,6 +206,22 @@ class TestThresholdScan:
         scan = optimal_threshold_split(pts, np.zeros(5))
         assert np.allclose(scan.f, 0.0)
         assert scan.argmin == 1
+
+    def test_order_is_the_stable_sort(self):
+        # distinct keys take a faster sort; tied keys must still come out in
+        # the stable order
+        rng = np.random.default_rng(17)
+        base = rng.standard_normal((2, 150))
+        dup = PointSet(np.concatenate((base, base), axis=1))
+        steps = PointSet(np.round(rng.standard_normal((1, 300)) * 3.0))
+        cases = [
+            (dup, dup.columns.T @ np.array([0.6, -0.8])),  # duplicated points
+            (steps, steps.columns[0]),  # repeated 1-D values
+            (dup, rng.standard_normal(300)),  # distinct keys
+        ]
+        for pts, y in cases:
+            scan = optimal_threshold_split(pts, y)
+            assert np.array_equal(scan.order, np.argsort(y, kind="stable"))
 
     def test_recursion_vs_quadratic_oracle(self):
         rng = np.random.default_rng(14)

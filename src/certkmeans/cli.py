@@ -23,7 +23,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -67,10 +68,35 @@ SOLVERS = ("lloyd", "spectral2", "bruteforce")
 # "planted" short-circuits the solve step and certifies the generative
 # labels themselves, which is how phase-transition curves are measured
 PARTITION_SOURCES = SOLVERS + ("planted",)
-TRIAL_CSV_HEADER = (
-    "trial_id,seed,m,k,n,delta,solver,objective,recovered,"
-    "cert_decision,detector_iters,epsilon,confidence_bound,wall_ms"
+
+# The per-trial CSV schema: (column, TrialRecord field, type) in column
+# order, then the column that --check-alignment appends.
+_TRIAL_COLUMNS = (
+    ("trial_id", "trial_id", int),
+    ("seed", "seed", int),
+    ("m", "m", int),
+    ("k", "k", int),
+    ("n", "n", int),
+    ("delta", "delta", float),
+    ("solver", "solver_tag", str),
+    ("objective", "objective", float),
+    ("recovered", "recovered_planted", bool),
+    ("cert_decision", "cert_decision", str),
+    ("detector_iters", "detector_iters", int),
+    ("epsilon", "epsilon", float),
+    ("confidence_bound", "confidence_bound", float),
+    ("wall_ms", "wall_ms", float),
 )
+_ALIGNMENT_COLUMN = ("alignment_ok", "alignment_ok", bool)
+TRIAL_CSV_HEADER = ",".join(name for name, _, _ in _TRIAL_COLUMNS)
+
+# per column type: (format a value that is not None, parse a nonblank cell)
+_CELL_CODECS = {
+    int: (str, int),
+    str: (str, str),
+    float: (lambda v: repr(float(v)), float),  # np.float64's own repr is "np.float64(...)"
+    bool: (lambda v: "true" if v else "false", lambda text: text == "true"),
+}
 
 
 class TrialStreams(NamedTuple):
@@ -92,7 +118,8 @@ def derive_streams(seed: int) -> TrialStreams:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One experiment trial, matching one CSV row."""
+    """One experiment trial, matching one CSV row.  The result fields
+    default to None, which is what an error row holds."""
 
     trial_id: int
     seed: int
@@ -101,47 +128,28 @@ class TrialRecord:
     n: int
     delta: float
     solver_tag: str
-    objective: Optional[float]
-    recovered_planted: Optional[bool]
-    cert_decision: Optional[str]
-    detector_iters: Optional[int]
-    epsilon: Optional[float]
-    confidence_bound: Optional[float]
-    wall_ms: float
+    objective: Optional[float] = None
+    recovered_planted: Optional[bool] = None
+    cert_decision: Optional[str] = None
+    detector_iters: Optional[int] = None
+    epsilon: Optional[float] = None
+    confidence_bound: Optional[float] = None
+    wall_ms: float = 0.0
     alignment_ok: Optional[bool] = None  # only populated by --check-alignment
     error: Optional[str] = None  # not serialized; cert_decision carries "error"
 
 
-def _fmt_opt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # np.float64's own repr is "np.float64(...)"
-    return str(value)
-
-
-def _record_row(rec: TrialRecord, check_alignment: bool) -> list[str]:
-    row = [
-        str(rec.trial_id),
-        str(rec.seed),
-        str(rec.m),
-        str(rec.k),
-        str(rec.n),
-        repr(float(rec.delta)),
-        rec.solver_tag,
-        _fmt_opt(rec.objective),
-        _fmt_opt(rec.recovered_planted),
-        _fmt_opt(rec.cert_decision),
-        _fmt_opt(rec.detector_iters),
-        _fmt_opt(rec.epsilon),
-        _fmt_opt(rec.confidence_bound),
-        repr(float(rec.wall_ms)),
-    ]
-    if check_alignment:
-        row.append(_fmt_opt(rec.alignment_ok))
-    return row
+def _to_csv(columns, items) -> str:
+    """One header line of column names, then one row per item; a None
+    attribute is a blank cell."""
+    values = attrgetter(*(attr for _, attr, _ in columns))
+    formats = [_CELL_CODECS[kind][0] for _, _, kind in columns]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([name for name, _, _ in columns])
+    for item in items:
+        writer.writerow(["" if value is None else fmt(value) for fmt, value in zip(formats, values(item))])
+    return buf.getvalue()
 
 
 def records_to_csv(records: Sequence[TrialRecord], check_alignment: bool = False) -> str:
@@ -149,53 +157,29 @@ def records_to_csv(records: Sequence[TrialRecord], check_alignment: bool = False
 
     ``check_alignment`` appends the optional alignment_ok column.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = TRIAL_CSV_HEADER.split(",")
-    if check_alignment:
-        header.append("alignment_ok")
-    writer.writerow(header)
-    for rec in records:
-        writer.writerow(_record_row(rec, check_alignment))
-    return buf.getvalue()
-
-
-def _parse_opt(text: str, conv):
-    if text == "":
-        return None
-    if conv is bool:
-        return text == "true"
-    return conv(text)
+    return _to_csv(_TRIAL_COLUMNS + ((_ALIGNMENT_COLUMN,) if check_alignment else ()), records)
 
 
 def parse_records_csv(text: str) -> list[TrialRecord]:
-    """Round-trip parser for :func:`records_to_csv` output."""
+    """Round-trip parser for :func:`records_to_csv` output.  A blank cell
+    reads as None in the fields that default to None and is an error in
+    the others."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    base = TRIAL_CSV_HEADER.split(",")
-    if header[: len(base)] != base:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty trial CSV")
+    columns = (_TRIAL_COLUMNS + (_ALIGNMENT_COLUMN,))[: len(header)]
+    if len(header) < len(_TRIAL_COLUMNS) or header != [name for name, _, _ in columns]:
         raise ValueError("unexpected CSV header")
-    has_alignment = len(header) > len(base)
+    optional = {f.name for f in fields(TrialRecord) if f.default is None}
+    parsers = [(attr, _CELL_CODECS[kind][1], attr in optional) for _, attr, kind in columns]
     records = []
     for row in reader:
-        rec = TrialRecord(
-            trial_id=int(row[0]),
-            seed=int(row[1]),
-            m=int(row[2]),
-            k=int(row[3]),
-            n=int(row[4]),
-            delta=float(row[5]),
-            solver_tag=row[6],
-            objective=_parse_opt(row[7], float),
-            recovered_planted=_parse_opt(row[8], bool),
-            cert_decision=_parse_opt(row[9], str),
-            detector_iters=_parse_opt(row[10], int),
-            epsilon=_parse_opt(row[11], float),
-            confidence_bound=_parse_opt(row[12], float),
-            wall_ms=float(row[13]),
-            alignment_ok=_parse_opt(row[14], bool) if has_alignment else None,
-        )
-        records.append(rec)
+        if len(row) != len(parsers):
+            raise ValueError(f"row {reader.line_num}: expected {len(parsers)} fields, got {len(row)}")
+        values = {attr: None if cell == "" and nullable else parse(cell)
+                  for (attr, parse, nullable), cell in zip(parsers, row)}
+        records.append(TrialRecord(**values))
     return records
 
 
@@ -304,7 +288,13 @@ class CellSummary:
         return self.recovered / self.trials if self.trials else math.nan
 
 
-SUMMARY_CSV_HEADER = "delta,k,m,n,trials,errors,certified_rate,recovered_rate"
+_SUMMARY_COLUMNS = (
+    ("delta", "delta", float),
+    *((name, name, int) for name in ("k", "m", "n", "trials", "errors")),
+    ("certified_rate", "certified_rate", float),
+    ("recovered_rate", "recovered_rate", float),
+)
+SUMMARY_CSV_HEADER = ",".join(name for name, _, _ in _SUMMARY_COLUMNS)
 
 
 def summarize_records(records: Sequence[TrialRecord]) -> list[CellSummary]:
@@ -332,23 +322,7 @@ def summarize_records(records: Sequence[TrialRecord]) -> list[CellSummary]:
 
 
 def summaries_to_csv(summaries: Sequence[CellSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_CSV_HEADER.split(","))
-    for s in summaries:
-        writer.writerow(
-            [
-                repr(float(s.delta)),
-                s.k,
-                s.m,
-                s.n,
-                s.trials,
-                s.errors,
-                repr(s.certified_rate),
-                repr(s.recovered_rate),
-            ]
-        )
-    return buf.getvalue()
+    return _to_csv(_SUMMARY_COLUMNS, summaries)
 
 
 def _build_ball_config(m, k, per_ball, delta, distribution, seed) -> BallModelConfig:
@@ -403,23 +377,7 @@ def run_sweep(
                 )
                 rec = replace(rec, delta=float(delta))
             except ValueError as exc:
-                rec = TrialRecord(
-                    trial_id=trial_id,
-                    seed=seed,
-                    m=m,
-                    k=k,
-                    n=n,
-                    delta=float(delta),
-                    solver_tag=solver,
-                    objective=None,
-                    recovered_planted=None,
-                    cert_decision="error",
-                    detector_iters=None,
-                    epsilon=None,
-                    confidence_bound=None,
-                    wall_ms=0.0,
-                    error=str(exc),
-                )
+                rec = TrialRecord(trial_id, seed, m, k, n, float(delta), solver, cert_decision="error", error=str(exc))
             records.append(rec)
             trial_id += 1
     return records, summarize_records(records)
@@ -560,7 +518,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for s in summaries:
         print(
             f"cell delta={s.delta:g} k={s.k} m={s.m} n={s.n}: "
-            f"certified {s.certified}/{s.trials}, recovered {s.recovered}/{s.trials}, errors {s.errors}"
+            f"certified {s.certified}/{s.trials}, recovered {s.recovered}/{s.trials}, errors {s.errors}",
+            file=sys.stderr,
         )
     failures = sum(1 for r in records if r.cert_decision == "error")
     if failures and args.strict:

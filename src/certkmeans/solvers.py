@@ -172,6 +172,8 @@ def lloyd(
         raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
     if k < 1:
         raise ValueError("k must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     sq_norms = np.einsum("ij,ij->j", cols, cols)
     if isinstance(init, Partition):
         if init.count != n or init.k != k:

@@ -184,11 +184,48 @@ class TestCsvSchema:
 
     def test_round_trip(self):
         # np.float64 is a float subclass whose own repr, "np.float64(1e-05)",
-        # parse_records_csv cannot read
-        for epsilon in (None, np.float64(1e-5)):
-            records, _ = run_sweep([2.5, 3.1], [2], [3], [8], trials=2, base_seed=9, certify=True, epsilon=epsilon)
-            back = parse_records_csv(records_to_csv(records))
+        # parse_records_csv cannot read; spectral2 fails at k = 3, and its error
+        # rows hold None in every optional field, alignment_ok included
+        seen = []
+        for solver, epsilon, check_alignment in (
+            ("lloyd", None, False),
+            ("lloyd", np.float64(1e-5), False),
+            ("lloyd", None, True),
+            ("spectral2", None, True),
+        ):
+            records, _ = run_sweep([2.5, 3.1], [2, 3], [3], [8], trials=2, base_seed=9, solver=solver,
+                                   certify=True, epsilon=epsilon, check_alignment=check_alignment)
+            back = parse_records_csv(records_to_csv(records, check_alignment=check_alignment))
             assert [dataclasses.replace(r, error=None) for r in records] == back
+            seen.append(back)
+        errors = [r for r in seen[3] if r.cert_decision == "error"]
+        assert len(errors) == 4
+        results = [(r.objective, r.recovered_planted, r.detector_iters, r.epsilon, r.confidence_bound, r.alignment_ok)
+                   for r in errors]
+        assert results == [(None,) * 6] * 4
+        assert {r.alignment_ok for r in seen[2]} == {True, None}
+
+    @pytest.mark.parametrize("column", ["trial_id", "seed", "m", "k", "n", "delta", "wall_ms"])
+    def test_blank_required_cell_rejected(self, column):
+        records, _ = run_sweep([2.5], [2], [2], [4], trials=1, base_seed=0)
+        header, row = records_to_csv(records).splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = ""
+        with pytest.raises(ValueError):
+            parse_records_csv(header + "\n" + ",".join(cells) + "\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "trial_id,seed\n",
+            TRIAL_CSV_HEADER + ",alignment_ok,extra\n",
+            TRIAL_CSV_HEADER + "\n0,1,2,2,4,2.5,lloyd,,,error,,,\n",  # one cell short
+        ],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_records_csv(text)
 
     def test_alignment_column_appended(self):
         records, _ = run_sweep([2.5], [2], [4], [8], trials=1, base_seed=4, check_alignment=True)
@@ -260,6 +297,22 @@ class TestCommandLine:
                    "--certify", "--out", str(rows)])
         assert rc == 0
         assert file_cells.read_text() == cells.read_text()
+
+    def test_sweep_stdout_is_the_trial_csv(self, capsys):
+        # without --out, stdout holds the per-trial CSV alone; the per-cell
+        # lines go to stderr, so `certkmeans sweep > rows.csv` parses back
+        argv = ["sweep", "--delta", "2.5,3.0", "--clusters", "2,3", "--dim", "6", "--per-ball", "8",
+                "--trials", "2", "--seed", "3", "--certify", "--check-alignment"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        records, summaries = run_sweep([2.5, 3.0], [2, 3], [6], [8], 2, base_seed=3, certify=True, check_alignment=True)
+        back = parse_records_csv(captured.out)
+        assert [dataclasses.replace(r, wall_ms=0.0) for r in back] == [
+            dataclasses.replace(r, wall_ms=0.0, error=None) for r in records
+        ]
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+            f"cell delta={s.delta:g} k={s.k} m={s.m} n={s.n}" for s in summaries
+        ]
 
     def test_sweep_strict_exit_code(self, tmp_path):
         rc = main(
@@ -341,10 +394,11 @@ class TestCommandLine:
 
 
 def _output(capsys, argv) -> list[str]:
-    """Stdout lines of a successful run, with the wall-time column blanked."""
+    """Stdout then stderr lines of a successful run, with the wall-time column blanked."""
     assert main(argv) == 0
     lines, col = [], None
-    for line in capsys.readouterr().out.splitlines():
+    captured = capsys.readouterr()
+    for line in captured.out.splitlines() + captured.err.splitlines():
         cells = line.split(",")
         if "wall_ms" in cells:
             col, width = cells.index("wall_ms"), len(cells)

@@ -13,7 +13,7 @@ def test_diff_reports_first_difference(tmp_path, capsys):
     b.write_text('{"op": 0}\n{"op": 1}\n')
     c.write_text('{"op": 0}\n{"op": 2}\n{"op": 3}\n')
     assert fingerprint.main(["--diff", str(a), str(b)]) == 0
-    assert "identical: 2 trials" in capsys.readouterr().out
+    assert "identical: 2 lines" in capsys.readouterr().out
     assert fingerprint.main(["--diff", str(a), str(c)]) == 1
     assert capsys.readouterr().out == 'first difference at line 2:\n  A: {"op": 1}\n  B: {"op": 2}\n'
 
@@ -21,3 +21,16 @@ def test_diff_reports_first_difference(tmp_path, capsys):
 def test_missing_line_counts_as_difference():
     assert fingerprint.first_difference(["x"], ["x", "y"]) == (1, None, "y")
     assert fingerprint.first_difference(["x"], ["x"]) is None
+
+
+def test_sweep_csv_record_ignores_wall_time():
+    from types import SimpleNamespace
+
+    from certkmeans import cli
+
+    assert fingerprint._blank_column("a,wall_ms,b\n1,2.5,3\n", "wall_ms") == "a,wall_ms,b\n1,,3\n"
+    sweep = SimpleNamespace(dim=4, per_ball=8, trials=2)
+    first, second = (fingerprint.sweep_csv_record(cli, "sweep", 7, 0, sweep, (2.5, 2, 7)) for _ in range(2))
+    assert first == second
+    _, summaries = cli.run_sweep([2.5], [2], [4], [8], 2, base_seed=7, certify=True)
+    assert first["summary_csv_sha256"] == fingerprint._sha256(cli.summaries_to_csv(summaries))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from certkmeans.certificate import build_certificate_context, certify_partition
-from certkmeans.cli import main, records_to_csv, run_sweep
+from certkmeans.cli import main, records_to_csv, run_sweep, summaries_to_csv
 from certkmeans.model import BallModelConfig, sample_stochastic_ball_model, standard_centers
 from certkmeans.solvers import lloyd, spectral_two_means
 
@@ -46,6 +46,13 @@ SWEEP_CELLS = [
         ],
     ),
 ]
+
+# summaries_to_csv of run_sweep([2.0, 2.6], [3], [6], [16], 4, base_seed=23, certify=True)
+SUMMARY_CSV = (
+    "delta,k,m,n,trials,errors,certified_rate,recovered_rate\n"
+    "2.0,3,6,16,4,0,0.25,0.75\n"
+    "2.6,3,6,16,4,0,1.0,1.0\n"
+)
 
 # seed -> (sha256 of the int64 labels, repr(objective), repr(z), decision, detector iterations)
 K3_TRIALS = {
@@ -85,6 +92,11 @@ def test_sweep_cell_csv(cell, rows):
     records, _ = run_sweep([delta], [k], [m], [n], trials, base_seed=seed, solver="lloyd", certify=True)
     lines = [line.rsplit(",", 1)[0] for line in records_to_csv(records).splitlines()]  # drop wall_ms
     assert lines == [HEADER] + rows
+
+
+def test_summary_csv():
+    _, summaries = run_sweep([2.0, 2.6], [3], [6], [16], 4, base_seed=23, certify=True)
+    assert summaries_to_csv(summaries) == SUMMARY_CSV
 
 
 @pytest.mark.parametrize("seed", sorted(K3_TRIALS))

@@ -48,6 +48,12 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(PointSet(np.zeros((2, 3))), 4)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_must_be_positive(self, max_iter):
+        # with no iteration the all-zero initial labels would come back as one cluster
+        with pytest.raises(ValueError):
+            lloyd(LINE, 2, max_iter=max_iter)
+
     def test_monotone_descent(self):
         # the objective after t rounds never increases in t
         rng = np.random.default_rng(0)

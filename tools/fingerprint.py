@@ -9,12 +9,16 @@ The first form runs ``op.run(op.prepare(seed, i))`` for ops 0 .. OPS-1 at
 each of SEEDS on every workload in ``bench/workloads.py`` (imported, never
 modified) and writes one JSON line per trial: the sha256 of its int64 labels
 and the ``repr`` of its objective, recovery flag, z, decision, detector iterations,
-final Rayleigh quotient, final alignment, lambda and confidence bound.  The
+final Rayleigh quotient, final alignment, lambda and confidence bound.  After
+the trials of each op of a sweep workload it writes one more line for the
+harness CSVs: ``cli.run_sweep`` of that op's cell and base seed with
+``check_alignment=True``, and the sha256 of its ``records_to_csv`` text (with
+the wall_ms column blanked) and of its ``summaries_to_csv`` text.  The
 library comes from the ``src`` directory of the same checkout, so running
 the script from two checkouts fingerprints two versions of the code.
 
 ``--diff A B`` compares two such files line by line, prints the first
-differing trial and exits 1, or prints the trial count and exits 0.
+differing line and exits 1, or prints the line count and exits 0.
 """
 
 from __future__ import annotations
@@ -53,16 +57,50 @@ def trial_record(workload: str, seed: int, op: int, index: int, trial) -> dict:
     }
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _blank_column(text: str, name: str) -> str:
+    """CSV ``text`` (no quoted cells) with every cell of column ``name`` emptied."""
+    rows = [line.split(",") for line in text.splitlines()]
+    col = rows[0].index(name)
+    for row in rows[1:]:
+        row[col] = ""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def sweep_csv_record(cli, workload: str, seed: int, op: int, sweep, inputs) -> dict:
+    """The sha256 of the trial and summary CSVs of one sweep op's cell."""
+    delta, k, base_seed = inputs
+    records, summaries = cli.run_sweep(
+        [delta], [k], [sweep.dim], [sweep.per_ball], sweep.trials,
+        base_seed=base_seed, solver="lloyd", certify=True, check_alignment=True,
+    )
+    rows = _blank_column(cli.records_to_csv(records, check_alignment=True), "wall_ms")
+    return {
+        "workload": workload,
+        "seed": seed,
+        "op": op,
+        "records_csv_sha256": _sha256(rows),
+        "summary_csv_sha256": _sha256(cli.summaries_to_csv(summaries)),
+    }
+
+
 def fingerprint():
-    """Yield the record of every trial, workload by workload, seed by seed."""
+    """Yield the record of every trial, workload by workload, seed by seed,
+    and after each sweep op the record of its CSVs."""
     sys.path.insert(0, str(BENCH))
     import workloads
 
     for name, op in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for i in range(OPS):
-                for index, trial in enumerate(op.run(op.prepare(seed, i)).trials):
+                inputs = op.prepare(seed, i)
+                for index, trial in enumerate(op.run(inputs).trials):
                     yield trial_record(name, seed, i, index, trial)
+                if isinstance(op, workloads.SweepOp):
+                    yield sweep_csv_record(workloads.cli, name, seed, i, op, inputs)
 
 
 def first_difference(lines_a, lines_b):
@@ -86,7 +124,7 @@ def main(argv=None) -> int:
         lines = [Path(p).read_text().splitlines() for p in args.diff]
         found = first_difference(*lines)
         if found is None:
-            print(f"identical: {len(lines[0])} trials")
+            print(f"identical: {len(lines[0])} lines")
             return 0
         pos, a, b = found
         print(f"first difference at line {pos + 1}:\n  A: {a}\n  B: {b}")

@@ -160,37 +160,53 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
         col_sums.append(phi[:, blocks[a]].sum(axis=1))
         sq_sums.append(float(sq_norms[blocks[a]].sum()))
 
+    def distance_row_sums(a: int, b: int) -> np.ndarray:
+        # D^(a,b) 1 = n_b ||x_i||^2 - 2 x_i^T s_b + sum_b ||x_j||^2, in place
+        out = sq_norms[blocks[a]] * int(sizes[b])
+        dots = phi[:, blocks[a]].T @ col_sums[b]
+        dots *= 2.0
+        out -= dots
+        out += sq_sums[b]
+        return out
+
     mu = []
     for a in range(k):
         n_a = int(sizes[a])
-        d_self = sq_norms[blocks[a]] * n_a - 2.0 * (phi[:, blocks[a]].T @ col_sums[a]) + sq_sums[a]
-        mu.append(0.5 * (d_self.sum() / n_a**2 - (2.0 / n_a) * d_self))
+        d_self = distance_row_sums(a, a)
+        total = d_self.sum() / n_a**2
+        d_self *= 2.0 / n_a
+        np.subtract(total, d_self, out=d_self)
+        d_self *= 0.5
+        mu.append(d_self)
+    mu_sums = [mu_a.sum() for mu_a in mu]
 
     row_sums = {}  # (a, b) -> M^(a,b) 1
     for a in range(k):
         for b in range(k):
             if a == b:
                 continue
-            n_b = int(sizes[b])
-            d_ab = sq_norms[blocks[a]] * n_b - 2.0 * (phi[:, blocks[a]].T @ col_sums[b]) + sq_sums[b]
-            row_sums[(a, b)] = d_ab + n_b * mu[a] + mu[b].sum()
+            ms = distance_row_sums(a, b)
+            ms += int(sizes[b]) * mu[a]
+            ms += mu_sums[b]
+            row_sums[(a, b)] = ms
 
     z = min(
         2.0 * sizes[a] / (sizes[a] + sizes[b]) * float(row_sums[(a, b)].min())
         for (a, b) in row_sums
     )
 
+    # u is built inside the row-sum buffers
     u: dict[tuple[int, int], np.ndarray] = {}
     min_u: dict[tuple[int, int], float] = {}
     for (a, b), ms in row_sums.items():
-        vec = ms - z * (sizes[a] + sizes[b]) / (2.0 * sizes[a])
-        low = float(vec.min())
+        ms -= z * (sizes[a] + sizes[b]) / (2.0 * sizes[a])
+        low = float(ms.min())
         min_u[(a, b)] = low
         if low < -U_CLAMP_REL_TOLERANCE * max(scale, 1e-300):
             raise ArithmeticError(
                 f"construction produced u with negative entry {low:.3e} for pair {(a, b)}"
             )
-        u[(a, b)] = np.maximum(vec, 0.0)
+        u[(a, b)] = np.maximum(ms, 0.0, out=ms)
 
     rho: dict[tuple[int, int], float] = {}
     undefined: list[tuple[int, int]] = []

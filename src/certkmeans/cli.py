@@ -90,12 +90,19 @@ _TRIAL_COLUMNS = (
 _ALIGNMENT_COLUMN = ("alignment_ok", "alignment_ok", bool)
 TRIAL_CSV_HEADER = ",".join(name for name, _, _ in _TRIAL_COLUMNS)
 
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
 # per column type: (format a value that is not None, parse a nonblank cell)
 _CELL_CODECS = {
     int: (str, int),
     str: (str, str),
     float: (lambda v: repr(float(v)), float),  # np.float64's own repr is "np.float64(...)"
-    bool: (lambda v: "true" if v else "false", lambda text: text == "true"),
+    bool: (lambda v: "true" if v else "false", _parse_bool),
 }
 
 

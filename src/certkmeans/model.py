@@ -247,11 +247,12 @@ def _draw_offsets(distribution: str, m: int, n: int, rng: np.random.Generator) -
     if distribution == TWO_POINT_SYM:
         return (2.0 * rng.integers(0, 2, size=(1, n)) - 1.0).astype(float)
     g = rng.standard_normal((m, n))
-    dirs = g / np.linalg.norm(g, axis=0)
-    if distribution == UNIFORM_SPHERE:
-        return dirs
-    # uniform in the ball: isotropic direction times radius U^(1/m)
-    return dirs * rng.random(n) ** (1.0 / m)
+    # np.linalg.norm(g, axis=0)'s arithmetic, without its copy g.conj()
+    g /= np.sqrt(np.add.reduce(g * g, axis=0))
+    if distribution == UNIFORM_BALL:
+        # isotropic direction times radius U^(1/m)
+        g *= rng.random(n) ** (1.0 / m)
+    return g
 
 
 def sample_stochastic_ball_model(config: BallModelConfig) -> Dataset:
@@ -264,8 +265,9 @@ def sample_stochastic_ball_model(config: BallModelConfig) -> Dataset:
     cols = np.empty((m, k * n))
     for a in range(k):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(a,)))
-        r = _draw_offsets(config.distribution, m, n, rng)
-        cols[:, a * n : (a + 1) * n] = r + config.centers[a][:, None]
+        # unnamed, so one ball's draws are freed before the next ball's
+        np.add(_draw_offsets(config.distribution, m, n, rng), config.centers[a][:, None],
+               out=cols[:, a * n : (a + 1) * n])
     planted = partition_from_labels(np.repeat(np.arange(k), n))
     return Dataset(points=PointSet(cols), planted=planted, config=config)
 
@@ -278,8 +280,8 @@ def kmeans_objective(points: PointSet, partition: Partition) -> float:
     total = 0.0
     for a in range(partition.k):
         block = cols[:, partition.labels == a]
-        centered = block - block.mean(axis=1)[:, None]
-        total += float(np.einsum("ij,ij->", centered, centered))
+        block -= block.mean(axis=1)[:, None]
+        total += float(np.einsum("ij,ij->", block, block))
     return total
 
 

@@ -233,6 +233,21 @@ def leading_eigenvector(op: Operator, n: Optional[int] = None, *, seed: int = 0)
     return EigenResult(q, rayleigh, False, it)
 
 
+def _recursion_steps(
+    x: np.ndarray, s1: np.ndarray, s2: np.ndarray, counts: np.ndarray, sq: np.ndarray
+) -> np.ndarray:
+    """2 s2 - 4 x^T s1 + 2 counts ||x||^2, one entry per column of x; each
+    product and difference is written in place (``counts`` is consumed)."""
+    dots = np.einsum("ji,ji->i", x, s1)
+    dots *= 4.0
+    steps = 2.0 * s2
+    steps -= dots
+    counts *= 2.0
+    counts *= sq
+    steps += counts
+    return steps
+
+
 def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     """Best split of the points along the ordering induced by ``y``.
 
@@ -260,35 +275,33 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     cols = points.columns[:, order]
     sq = np.einsum("ij,ij->j", cols, cols)
 
+    # two m x N buffers: the sorted points, and their prefix sums, which
+    # become the suffix sums in place once the forward recursion is done
     prefix1 = np.cumsum(cols, axis=1)
     prefix2 = np.cumsum(sq)
-    total1 = prefix1[:, -1]
-    total2 = prefix2[-1]
+    inner = cols[:, 1 : n - 1]
 
     # v[i-1] = v_i for i = 1..N-1
-    if n > 2:
-        dots_fwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], prefix1[:, : n - 2])
-        steps = 2.0 * prefix2[: n - 2] - 4.0 * dots_fwd + 2.0 * np.arange(1, n - 1) * sq[1 : n - 1]
-        v = np.concatenate(([0.0], np.cumsum(steps)))
-    else:
-        v = np.zeros(1)
+    v = np.zeros(n - 1)
+    counts = np.arange(1, n - 1, dtype=float)
+    steps = _recursion_steps(inner, prefix1[:, : n - 2], prefix2[: n - 2], counts, sq[1 : n - 1])
+    np.cumsum(steps, out=v[1:])
 
-    # suffix aggregates over positions strictly after t (0-based)
-    suffix1 = total1[:, None] - prefix1
-    suffix2 = total2 - prefix2
-    if n > 2:
-        dots_bwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], suffix1[:, 1 : n - 1])
-        steps_c = (
-            2.0 * suffix2[1 : n - 1]
-            - 4.0 * dots_bwd
-            + 2.0 * (n - np.arange(2, n)) * sq[1 : n - 1]
-        )
-        v_c = np.concatenate((np.cumsum(steps_c[::-1])[::-1], [0.0]))
-    else:
-        v_c = np.zeros(1)
+    # suffix aggregates over positions strictly after t (0-based); total1 is
+    # a view of prefix1, so it is copied before prefix1 is overwritten
+    total1 = prefix1[:, -1].copy()
+    suffix1 = np.subtract(total1[:, None], prefix1, out=prefix1)
+    suffix2 = np.subtract(prefix2[-1], prefix2, out=prefix2)
+    v_c = np.zeros(n - 1)
+    counts = np.arange(n - 2, 0, -1, dtype=float)  # N - i for i = 2..N-1
+    steps = _recursion_steps(inner, suffix1[:, 1 : n - 1], suffix2[1 : n - 1], counts, sq[1 : n - 1])
+    np.cumsum(steps[::-1], out=v_c[: n - 2][::-1])
 
-    sizes_low = np.arange(1, n)
-    f = v / sizes_low + v_c / (n - sizes_low)
+    f = np.arange(1, n, dtype=float)  # sizes of the low side
+    np.divide(v, f, out=f)
+    high = np.arange(n - 1, 0, -1, dtype=float)
+    np.divide(v_c, high, out=high)
+    f += high
     best = int(np.argmin(f)) + 1
     return ThresholdScan(order=order, v=v, v_c=v_c, f=f, argmin=best)
 
@@ -314,6 +327,7 @@ def spectral_two_means(points: PointSet, *, seed: int = 0) -> SolveResult:
     else:
         eig = leading_eigenvector(lambda x: centered.T @ (centered @ x), n, seed=seed)
         y = eig.vector
+    del centered  # the scan below needs two m x N buffers of its own
     # fix the eigenvector's sign ambiguity so the result is well defined
     lead = int(np.argmax(np.abs(y)))
     if y[lead] < 0.0:

@@ -6,18 +6,21 @@ definitions so the fast paths have something independent to match.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from certkmeans.model import (
     BallModelConfig,
     PointSet,
+    TWO_POINT_SYM,
     UNIFORM_BALL,
     pairwise_sq_distances,
     partition_from_labels,
     sample_stochastic_ball_model,
     standard_centers,
 )
+from certkmeans.solvers import ThresholdScan
 
 
 def ball_dataset(seed, k=2, m=2, n=10, delta=6.0, distribution=UNIFORM_BALL):
@@ -228,3 +231,100 @@ def reference_apply_A(ctx, x):
                 acc += ctx.u[(a, b)] * (dots[(b, a)] / ctx.rho[(min(a, b), max(a, b))])
         off[blocks[a]] = acc
     return _project_off_blocks(ctx, off - _apply_distance(ctx, y)) + (ctx.z / ctx.n_points) * x.sum()
+
+
+def reference_optimal_threshold_split(points, y):
+    """The threshold scan built from concatenations and chained temporaries
+    (four m x N arrays); the library's in-place scan must return the same
+    order, v, v_c, f and argmin bit for bit."""
+    y = np.asarray(y, dtype=float)
+    n = points.count
+    order = np.argsort(y)
+    sorted_y = y[order]
+    if not (sorted_y[1:] > sorted_y[:-1]).all():
+        order = np.argsort(y, kind="stable")
+    cols = points.columns[:, order]
+    sq = np.einsum("ij,ij->j", cols, cols)
+    prefix1 = np.cumsum(cols, axis=1)
+    prefix2 = np.cumsum(sq)
+    total1 = prefix1[:, -1]
+    total2 = prefix2[-1]
+    if n > 2:
+        dots_fwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], prefix1[:, : n - 2])
+        steps = 2.0 * prefix2[: n - 2] - 4.0 * dots_fwd + 2.0 * np.arange(1, n - 1) * sq[1 : n - 1]
+        v = np.concatenate(([0.0], np.cumsum(steps)))
+    else:
+        v = np.zeros(1)
+    suffix1 = total1[:, None] - prefix1
+    suffix2 = total2 - prefix2
+    if n > 2:
+        dots_bwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], suffix1[:, 1 : n - 1])
+        steps_c = 2.0 * suffix2[1 : n - 1] - 4.0 * dots_bwd + 2.0 * (n - np.arange(2, n)) * sq[1 : n - 1]
+        v_c = np.concatenate((np.cumsum(steps_c[::-1])[::-1], [0.0]))
+    else:
+        v_c = np.zeros(1)
+    sizes_low = np.arange(1, n)
+    f = v / sizes_low + v_c / (n - sizes_low)
+    return ThresholdScan(order=order, v=v, v_c=v_c, f=f, argmin=int(np.argmin(f)) + 1)
+
+
+def reference_certificate_context(points, partition):
+    """phi, sq_norms, mu, z, u, min_u and rho of the certificate context,
+    built with a fresh array per expression; the library's in-place build
+    must match every one bit for bit."""
+    k = partition.k
+    perm = np.argsort(partition.labels, kind="stable")
+    phi = points.columns[:, perm]
+    sizes = np.asarray(partition.sizes, dtype=np.int64)
+    blocks = blocks_of(sizes)
+    sq_norms = np.einsum("ij,ij->j", phi, phi)
+    col_sums = [phi[:, blk].sum(axis=1) for blk in blocks]
+    sq_sums = [float(sq_norms[blk].sum()) for blk in blocks]
+    mu = []
+    for a in range(k):
+        n_a = int(sizes[a])
+        d_self = sq_norms[blocks[a]] * n_a - 2.0 * (phi[:, blocks[a]].T @ col_sums[a]) + sq_sums[a]
+        mu.append(0.5 * (d_self.sum() / n_a**2 - (2.0 / n_a) * d_self))
+    row_sums = {}
+    for a in range(k):
+        for b in range(k):
+            if a != b:
+                n_b = int(sizes[b])
+                d_ab = sq_norms[blocks[a]] * n_b - 2.0 * (phi[:, blocks[a]].T @ col_sums[b]) + sq_sums[b]
+                row_sums[(a, b)] = d_ab + n_b * mu[a] + mu[b].sum()
+    z = min(2.0 * sizes[a] / (sizes[a] + sizes[b]) * float(row_sums[(a, b)].min()) for (a, b) in row_sums)
+    u, min_u = {}, {}
+    for (a, b), ms in row_sums.items():
+        vec = ms - z * (sizes[a] + sizes[b]) / (2.0 * sizes[a])
+        min_u[(a, b)] = float(vec.min())
+        u[(a, b)] = np.maximum(vec, 0.0)
+    rho = {(a, b): 0.5 * (float(u[(a, b)].sum()) + float(u[(b, a)].sum())) for a in range(k) for b in range(a + 1, k)}
+    return SimpleNamespace(phi=phi, sq_norms=sq_norms, mu=tuple(mu), z=float(z), u=u, min_u=min_u, rho=rho)
+
+
+def reference_sample_columns(config):
+    """The sampler's m x N columns drawn through np.linalg.norm and a fresh
+    array per step; the library's in-place sampler must match bit for bit."""
+    k, m, n = config.k, config.dim, config.per_ball
+    cols = np.empty((m, k * n))
+    for a in range(k):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(a,)))
+        if config.distribution == TWO_POINT_SYM:
+            r = (2.0 * rng.integers(0, 2, size=(1, n)) - 1.0).astype(float)
+        else:
+            g = rng.standard_normal((m, n))
+            r = g / np.linalg.norm(g, axis=0)
+            if config.distribution == UNIFORM_BALL:
+                r = r * rng.random(n) ** (1.0 / m)
+        cols[:, a * n : (a + 1) * n] = r + config.centers[a][:, None]
+    return cols
+
+
+def reference_kmeans_objective(points, partition):
+    """The k-means objective with a centered copy of each cluster block."""
+    total = 0.0
+    for a in range(partition.k):
+        block = points.columns[:, partition.labels == a]
+        centered = block - block.mean(axis=1)[:, None]
+        total += float(np.einsum("ij,ij->", centered, centered))
+    return total

@@ -8,6 +8,7 @@ from conftest import (
     dense_E,
     gaussian_instance,
     reference_apply_A,
+    reference_certificate_context,
     reference_M_block,
     reference_z,
 )
@@ -116,6 +117,35 @@ class TestConstruction:
         pts = PointSet(np.zeros((2, 4)))
         with pytest.raises(ValueError):
             build_certificate_context(pts, partition_from_labels([0, 0, 0, 0]))
+
+
+    def test_bit_identical_to_reference(self):
+        # the in-place build returns the bits of the build from fresh
+        # temporaries, for k = 2 .. 10, m = 1, far data and duplicated points
+        rng = np.random.default_rng(41)
+        cases = []
+        for k in range(2, 11):
+            for m in (1, 3, 12):
+                sizes = rng.integers(1, 30, size=k)
+                pts, part = gaussian_instance(int(rng.integers(2**32)), sizes, m=m, spread=3.0 * k)
+                cols = pts.columns
+                labels = rng.permutation(part.labels)  # clusters interleaved in point order
+                cases.append((cols, labels))
+                cases.append((cols + 1e6, labels))
+                cases.append((cols[:, rng.integers(k, size=cols.shape[1])], labels))
+        for cols, labels in cases:
+            pts, part = PointSet(cols), partition_from_labels(labels)
+            got = build_certificate_context(pts, part)
+            want = reference_certificate_context(pts, part)
+            arrays = [("phi", got.phi, want.phi), ("sq_norms", got.sq_norms, want.sq_norms)]
+            arrays += [(f"mu[{a}]", x, y) for a, (x, y) in enumerate(zip(got.mu, want.mu, strict=True))]
+            assert got.u.keys() == want.u.keys()
+            arrays += [(f"u{key}", got.u[key], want.u[key]) for key in want.u]
+            for name, x, y in arrays:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+            assert repr(got.z) == repr(want.z)
+            assert repr(got.min_u) == repr(want.min_u)
+            assert repr(got.rho) == repr(want.rho)
 
 
 class TestOperator:

@@ -227,6 +227,17 @@ class TestCsvSchema:
         with pytest.raises(ValueError):
             parse_records_csv(text)
 
+    @pytest.mark.parametrize("cell", ["True", "yes", "1", "FALSE"])
+    def test_bool_cell_other_than_true_false_rejected(self, cell):
+        # a misspelt flag must not read as False
+        records, _ = run_sweep([2.5], [2], [2], [4], trials=1, base_seed=0, check_alignment=True)
+        header, row = records_to_csv(records, check_alignment=True).splitlines()
+        for column in ("recovered", "alignment_ok"):
+            cells = row.split(",")
+            cells[header.split(",").index(column)] = cell
+            with pytest.raises(ValueError):
+                parse_records_csv(header + "\n" + ",".join(cells) + "\n")
+
     def test_alignment_column_appended(self):
         records, _ = run_sweep([2.5], [2], [4], [8], trials=1, base_seed=4, check_alignment=True)
         text = records_to_csv(records, check_alignment=True)

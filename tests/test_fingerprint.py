@@ -34,3 +34,20 @@ def test_sweep_csv_record_ignores_wall_time():
     assert first == second
     _, summaries = cli.run_sweep([2.5], [2], [4], [8], 2, base_seed=7, certify=True)
     assert first["summary_csv_sha256"] == fingerprint._sha256(cli.summaries_to_csv(summaries))
+
+
+def test_scan_record_hashes_every_scan_array():
+    import numpy as np
+
+    from certkmeans import solvers
+    from certkmeans.model import PointSet
+
+    points = PointSet(np.array([[0.0, 1.0, 10.0, 11.0]]))
+    with fingerprint.captured_scans(solvers) as scans:
+        solvers.spectral_two_means(points)
+    assert solvers.optimal_threshold_split.__name__ == "optimal_threshold_split"
+    assert len(scans) == 1
+    record = fingerprint.scan_record("w", 7, 0, scans[0])
+    assert record["argmin"] == 2
+    assert record["f_sha256"] == fingerprint.hashlib.sha256(scans[0].f.tobytes()).hexdigest()
+    assert {key for key in record if key.endswith("_sha256")} == {"order_sha256", "v_sha256", "v_c_sha256", "f_sha256"}

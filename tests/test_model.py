@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from conftest import (
     counterexample_1d_objectives,
     normalized_partition_matrix,
     pairwise_objective,
+    reference_kmeans_objective,
     reference_partitions_equal,
+    reference_sample_columns,
 )
 from certkmeans.model import (
     BallModelConfig,
@@ -189,6 +192,34 @@ class TestSampler:
         assert np.linalg.norm(offsets.mean(axis=1)) <= 0.02
 
 
+    @pytest.mark.parametrize("distribution", [UNIFORM_BALL, UNIFORM_SPHERE, TWO_POINT_SYM])
+    def test_bit_identical_to_reference(self, distribution):
+        # the in-place sampler returns the bits of the sampler built on
+        # np.linalg.norm and a fresh array per step
+        rng = np.random.default_rng(42)
+        for trial in range(12):
+            k = int(rng.integers(2, 6))
+            m = 1 if distribution == TWO_POINT_SYM else int(rng.integers(1, 9))
+            centers = rng.standard_normal((k, m)) * 5.0 + (1e6 if trial % 3 == 0 else 0.0)
+            config = BallModelConfig(centers=centers, per_ball=int(rng.integers(1, 300)),
+                                     distribution=distribution, seed=int(rng.integers(2**63)))
+            got = sample_stochastic_ball_model(config).points.columns
+            want = reference_sample_columns(config)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_memory_below_budget(self):
+        # each ball is drawn, normalised, scaled and shifted in place: the
+        # peak is the output plus PointSet's read-only copy, under 2.5 copies
+        config = BallModelConfig(centers=standard_centers(2, 6, 2.3), per_ball=2**14, seed=3)
+        tracemalloc.start()
+        try:
+            ds = sample_stochastic_ball_model(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ds.points.columns.nbytes
+
+
 class TestObjective:
     def test_identical_points_zero(self):
         pts = PointSet(np.ones((3, 5)))
@@ -232,6 +263,21 @@ class TestObjective:
         pts3 = PointSet(ds.points.columns[:, perm])
         part3 = partition_from_labels(ds.planted.labels[perm])
         assert kmeans_objective(pts3, part3) == pytest.approx(base, rel=1e-12)
+
+
+    def test_bit_identical_to_reference(self):
+        # centering each gathered block in place keeps the objective's bits
+        rng = np.random.default_rng(43)
+        for trial in range(30):
+            k = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 7))
+            n = int(rng.integers(k, 200))
+            cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0) + (1e6 if trial % 3 == 0 else 0.0)
+            if trial % 4 == 1:
+                cols = cols[:, rng.integers(max(1, n // 4), size=n)]  # duplicated points
+            labels = rng.permutation(np.concatenate((np.arange(k), rng.integers(k, size=n - k))))
+            pts, part = PointSet(cols), partition_from_labels(labels)
+            assert repr(kmeans_objective(pts, part)) == repr(reference_kmeans_objective(pts, part))
 
 
 class TestCounterexample1D:

@@ -9,6 +9,7 @@ from conftest import (
     reference_assign,
     reference_centroids,
     reference_kmeans_pp_centers,
+    reference_optimal_threshold_split,
     reference_repair_empty,
 )
 from certkmeans import solvers
@@ -269,6 +270,31 @@ class TestThresholdScan:
             assert partitions_equal(pa, pb)
 
 
+    def test_bit_identical_to_reference(self):
+        # the in-place scan returns the bits of the scan built from fresh
+        # temporaries; tied and NaN keys take the stable-sort fallback
+        rng = np.random.default_rng(18)
+        cases = []
+        for n in (2, 3, 4, 5, 37, 400):
+            for m in (1, 2, 6):
+                cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0)
+                cases.append((cols, rng.standard_normal(n)))  # distinct keys
+                cases.append((cols + 1e6, rng.standard_normal(n)))  # far from the origin
+                cases.append((cols, np.round(rng.standard_normal(n))))  # tied keys
+                nan_keys = rng.standard_normal(n)
+                nan_keys[rng.integers(n, size=max(1, n // 4))] = np.nan
+                cases.append((cols, nan_keys))
+                dup = cols[:, rng.integers(max(1, n // 3), size=n)]  # duplicated points
+                cases.append((dup, dup.T @ rng.standard_normal(m)))
+        for cols, y in cases:
+            got = optimal_threshold_split(PointSet(cols), y)
+            want = reference_optimal_threshold_split(PointSet(cols), y)
+            for name in ("order", "v", "v_c", "f"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert got.argmin == want.argmin
+
+
 class TestSpectralTwoMeans:
     def test_one_dimensional_exactness(self):
         rng = np.random.default_rng(17)
@@ -315,6 +341,31 @@ class TestSpectralTwoMeans:
         res = spectral_two_means(pts)
         brute = exact_kmeans_bruteforce(pts, 2)
         assert res.objective <= (2.0 + 1e-6) * brute.objective
+
+
+    def test_bit_identical_with_reference_scan(self, monkeypatch):
+        # both eigenvector paths (m <= N and m > N) end in the same labels
+        rng = np.random.default_rng(25)
+        instances = [PointSet(rng.standard_normal((30, 8))), ball_dataset(seed=26, k=2, m=6, n=200, delta=2.3).points,
+                     PointSet(rng.standard_normal((1, 50)) + 1e6)]
+        fast = [spectral_two_means(pts, seed=3) for pts in instances]
+        monkeypatch.setattr(solvers, "optimal_threshold_split", reference_optimal_threshold_split)
+        for pts, got in zip(instances, fast):
+            want = spectral_two_means(pts, seed=3)
+            assert np.array_equal(got.partition.labels, want.partition.labels)
+            assert repr(got.objective) == repr(want.objective)
+
+    def test_memory_below_budget(self):
+        # centered is freed before the scan, and the scan holds two m x N
+        # buffers: the peak stays under 4.5 copies of the points
+        points = ball_dataset(seed=27, k=2, m=6, n=2**14, delta=2.3).points
+        tracemalloc.start()
+        try:
+            spectral_two_means(points, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * points.columns.nbytes
 
 
 class TestBruteforce:

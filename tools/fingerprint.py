@@ -10,6 +10,9 @@ each of SEEDS on every workload in ``bench/workloads.py`` (imported, never
 modified) and writes one JSON line per trial: the sha256 of its int64 labels
 and the ``repr`` of its objective, recovery flag, z, decision, detector iterations,
 final Rayleigh quotient, final alignment, lambda and confidence bound.  After
+the trials of each op it writes one line per threshold scan the op made (the
+spectral solver's, on certify-large): the sha256 of the scan's order, v, v_c
+and f, so a changed bit in f shows even where the split does not move.  After
 the trials of each op of a sweep workload it writes one more line for the
 harness CSVs: ``cli.run_sweep`` of that op's cell and base seed with
 ``check_alignment=True``, and the sha256 of its ``records_to_csv`` text (with
@@ -27,6 +30,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -61,6 +65,32 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def scan_record(workload: str, seed: int, op: int, scan) -> dict:
+    """The sha256 of each array of one threshold scan, and its split."""
+    record = {"workload": workload, "seed": seed, "op": op, "argmin": scan.argmin}
+    for name in ("order", "v", "v_c", "f"):
+        record[f"{name}_sha256"] = hashlib.sha256(getattr(scan, name).tobytes()).hexdigest()
+    return record
+
+
+@contextmanager
+def captured_scans(solvers):
+    """Record every scan ``solvers.optimal_threshold_split`` returns while
+    the context is open."""
+    scans = []
+    original = solvers.optimal_threshold_split
+
+    def probe(points, y):
+        scans.append(original(points, y))
+        return scans[-1]
+
+    solvers.optimal_threshold_split = probe
+    try:
+        yield scans
+    finally:
+        solvers.optimal_threshold_split = original
+
+
 def _blank_column(text: str, name: str) -> str:
     """CSV ``text`` (no quoted cells) with every cell of column ``name`` emptied."""
     rows = [line.split(",") for line in text.splitlines()]
@@ -89,7 +119,8 @@ def sweep_csv_record(cli, workload: str, seed: int, op: int, sweep, inputs) -> d
 
 def fingerprint():
     """Yield the record of every trial, workload by workload, seed by seed,
-    and after each sweep op the record of its CSVs."""
+    then of each op's threshold scans, and after each sweep op the record of
+    its CSVs."""
     sys.path.insert(0, str(BENCH))
     import workloads
 
@@ -97,8 +128,12 @@ def fingerprint():
         for seed in SEEDS:
             for i in range(OPS):
                 inputs = op.prepare(seed, i)
-                for index, trial in enumerate(op.run(inputs).trials):
+                with captured_scans(workloads.solvers) as scans:
+                    result = op.run(inputs)
+                for index, trial in enumerate(result.trials):
                     yield trial_record(name, seed, i, index, trial)
+                for scan in scans:
+                    yield scan_record(name, seed, i, scan)
                 if isinstance(op, workloads.SweepOp):
                     yield sweep_csv_record(workloads.cli, name, seed, i, op, inputs)
 

@@ -47,6 +47,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_columns(cols: np.ndarray) -> np.ndarray:
+    if cols.ndim != 2:
+        raise ValueError(f"columns must be an m x N matrix, got shape {cols.shape}")
+    m, n = cols.shape
+    if m < 1 or n < 1:
+        raise ValueError(f"need dim >= 1 and count >= 1, got {m} x {n}")
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("point coordinates must be finite")
+    return cols
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An m x N real matrix of data points stored column-wise.
@@ -58,14 +69,7 @@ class PointSet:
     columns: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2:
-            raise ValueError(f"columns must be an m x N matrix, got shape {cols.shape}")
-        m, n = cols.shape
-        if m < 1 or n < 1:
-            raise ValueError(f"need dim >= 1 and count >= 1, got {m} x {n}")
-        if not np.all(np.isfinite(cols)):
-            raise ValueError("point coordinates must be finite")
+        cols = _checked_columns(np.asarray(self.columns, dtype=float))
         object.__setattr__(self, "columns", _read_only(cols))
 
     @property
@@ -75,6 +79,16 @@ class PointSet:
     @property
     def count(self) -> int:
         return self.columns.shape[1]
+
+
+def _adopt_columns(cols: np.ndarray) -> PointSet:
+    """A PointSet over ``cols`` itself, with the checks of ``PointSet(cols)``
+    but without its defensive copy: for a float array built here that no
+    caller holds, which is marked read-only in place."""
+    points = object.__new__(PointSet)
+    object.__setattr__(points, "columns", _checked_columns(cols))
+    cols.setflags(write=False)
+    return points
 
 
 @dataclass(frozen=True)
@@ -269,7 +283,7 @@ def sample_stochastic_ball_model(config: BallModelConfig) -> Dataset:
         np.add(_draw_offsets(config.distribution, m, n, rng), config.centers[a][:, None],
                out=cols[:, a * n : (a + 1) * n])
     planted = partition_from_labels(np.repeat(np.arange(k), n))
-    return Dataset(points=PointSet(cols), planted=planted, config=config)
+    return Dataset(points=_adopt_columns(cols), planted=planted, config=config)
 
 
 def kmeans_objective(points: PointSet, partition: Partition) -> float:
@@ -344,4 +358,4 @@ def read_dataset_csv(path: str) -> Dataset:
     planted = partition_from_labels(labels) if labels is not None else None
     if planted is not None and planted.k != k_planted:
         raise ValueError("label column inconsistent with declared k_planted")
-    return Dataset(points=PointSet(cols), planted=planted, config=None)
+    return Dataset(points=_adopt_columns(cols), planted=planted, config=None)

@@ -84,20 +84,43 @@ class ThresholdScan:
         return labels
 
 
-def _centroids(rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _centroids(
+    rows: np.ndarray,
+    labels: np.ndarray,
+    k: int,
+    centers: Optional[np.ndarray] = None,
+    previous: Optional[np.ndarray] = None,
+) -> np.ndarray:
     # rows is the N x m point array; each cluster's contiguous row gather has
     # the memory image of the column gather cols[:, mask] (F-ordered), so the
-    # mean sums in the same ascending point order
-    centers = np.empty((rows.shape[1], k))
-    for a in range(k):
-        centers[:, a] = rows[labels == a].mean(axis=0)
-    return centers
+    # mean sums in the same ascending point order.  Given the centers of the
+    # ``previous`` labels, only clusters that a moved point left or joined are
+    # recomputed: the others keep the same rows in the same order, so their
+    # means are the old columns bit for bit
+    if previous is None:
+        new_centers = np.empty((rows.shape[1], k))
+        changed = range(k)
+    else:
+        new_centers = centers.copy()
+        moved = np.flatnonzero(labels != previous)
+        touched = np.zeros(k, dtype=bool)
+        touched[labels[moved]] = True
+        touched[previous[moved]] = True
+        changed = np.flatnonzero(touched)
+    for a in changed:
+        new_centers[:, a] = rows[labels == a].mean(axis=0)
+    return new_centers
 
 
 def _assign(cols: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared distance of every point to every center; ties go to the lower
-    # cluster index, as with argmin, by writing the labels from high to low
-    d2 = (centers * centers).sum(axis=0)[:, None] - 2.0 * (centers.T @ cols) + sq_norms[None, :]
+    # squared distance of every point to every center, built in place as
+    # (-2 G + |c|^2) + |x|^2, which is c2 - 2 G + |x|^2 bit for bit; ties go to
+    # the lower cluster index, as with argmin, by writing the labels from high
+    # to low
+    d2 = centers.T @ cols
+    d2 *= -2.0
+    d2 += (centers * centers).sum(axis=0)[:, None]
+    d2 += sq_norms
     low = d2.min(axis=0)
     if np.isnan(low).any():
         # no entry equals a NaN minimum; argmin reports its first position
@@ -179,21 +202,22 @@ def lloyd(
         if init.count != n or init.k != k:
             raise ValueError("initial partition does not match points/k")
         rows = np.ascontiguousarray(cols.T)
-        centers = _centroids(rows, init.labels, k)
+        labels = init.labels
+        centers = _centroids(rows, labels, k)
     elif init == "kmeans++":
         centers = _kmeans_pp_centers(cols, k, np.random.default_rng(seed))
         # copied after seeding returns, so its m x N buffer is freed first
         rows = np.ascontiguousarray(cols.T)
+        labels = None  # no labels behind the seeds: the first update computes every cluster
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    labels = np.zeros(n, dtype=np.int64)
-    iterations = 0
     for iterations in range(1, max_iter + 1):
+        previous = labels
         labels = _assign(cols, sq_norms, centers)
         if (np.bincount(labels, minlength=k) == 0).any():
             labels = _repair_empty(cols, labels, centers, k)
-        new_centers = _centroids(rows, labels, k)
+        new_centers = _centroids(rows, labels, k, centers, previous)
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers

@@ -12,6 +12,7 @@ import numpy as np
 
 from certkmeans.model import (
     BallModelConfig,
+    Partition,
     PointSet,
     TWO_POINT_SYM,
     UNIFORM_BALL,
@@ -20,7 +21,7 @@ from certkmeans.model import (
     sample_stochastic_ball_model,
     standard_centers,
 )
-from certkmeans.solvers import ThresholdScan
+from certkmeans.solvers import SolveResult, ThresholdScan
 
 
 def ball_dataset(seed, k=2, m=2, n=10, delta=6.0, distribution=UNIFORM_BALL):
@@ -209,6 +210,30 @@ def reference_repair_empty(cols, labels, centers, k):
         labels[j] = a
         counts[a] = 1
     return labels
+
+
+def reference_lloyd(points, k, init="kmeans++", max_iter=100, seed=0):
+    """Lloyd's loop recomputing every centroid on every update, on the
+    reference seeding, assignment, repair and centroids; the library's
+    incremental Lloyd must return the same labels, objective and iteration
+    count bit for bit."""
+    cols = points.columns
+    sq_norms = np.einsum("ij,ij->j", cols, cols)
+    rows = np.ascontiguousarray(cols.T)
+    if isinstance(init, Partition):
+        centers = reference_centroids(rows, init.labels, k)
+    else:
+        centers = reference_kmeans_pp_centers(cols, k, np.random.default_rng(seed))
+    for iterations in range(1, max_iter + 1):
+        labels = reference_assign(cols, sq_norms, centers)
+        if (np.bincount(labels, minlength=k) == 0).any():
+            labels = reference_repair_empty(cols, labels, centers, k)
+        new_centers = reference_centroids(rows, labels, k)
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    partition = partition_from_labels(labels)
+    return SolveResult(partition, reference_kmeans_objective(points, partition), iterations, "lloyd")
 
 
 def reference_apply_A(ctx, x):

@@ -51,3 +51,20 @@ def test_scan_record_hashes_every_scan_array():
     assert record["argmin"] == 2
     assert record["f_sha256"] == fingerprint.hashlib.sha256(scans[0].f.tobytes()).hexdigest()
     assert {key for key in record if key.endswith("_sha256")} == {"order_sha256", "v_sha256", "v_c_sha256", "f_sha256"}
+
+
+def test_captured_solves_records_each_solve_and_restores_names():
+    import numpy as np
+
+    from certkmeans import cli, solvers
+    from certkmeans.model import PointSet
+
+    points = PointSet(np.array([[0.0, 1.0, 10.0, 11.0]]))
+    with fingerprint.captured_solves(solvers, cli) as solves:
+        solvers.lloyd(points, 2)
+        cli.lloyd(points, 2, seed=1)
+        solvers.spectral_two_means(points)
+    assert [s.solver_tag for s in solves] == ["lloyd", "lloyd", "spectral2"]
+    assert cli.lloyd is solvers.lloyd
+    assert solvers.lloyd.__name__ == "lloyd"
+    assert cli.spectral_two_means is solvers.spectral_two_means

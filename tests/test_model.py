@@ -45,6 +45,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             pts.columns[0, 0] = 5.0  # read-only
 
+    def test_pointset_copies_caller_array(self):
+        arr = np.array([[0.0, 1.0], [2.0, 3.0]])
+        pts = PointSet(arr)
+        assert not np.shares_memory(pts.columns, arr)
+        arr[0, 0] = 5.0  # the caller's array stays writable
+        assert pts.columns[0, 0] == 0.0
+
     def test_partition_from_labels(self):
         p = partition_from_labels([0, 0, 1, 1])
         assert p.k == 2 and list(p.sizes) == [2, 2]
@@ -208,8 +215,9 @@ class TestSampler:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_memory_below_budget(self):
-        # each ball is drawn, normalised, scaled and shifted in place: the
-        # peak is the output plus PointSet's read-only copy, under 2.5 copies
+        # each ball is drawn, normalised, scaled and shifted in place: at
+        # k = 2 the peak is the output plus one ball's draws and their
+        # squares, under 2.5 copies
         config = BallModelConfig(centers=standard_centers(2, 6, 2.3), per_ball=2**14, seed=3)
         tracemalloc.start()
         try:
@@ -218,6 +226,21 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * ds.points.columns.nbytes
+
+
+    def test_memory_one_copy_many_clusters(self):
+        # the sampler hands its own buffer to the PointSet, marked read-only,
+        # so at k = 10 the peak is the output plus one ball's draws
+        config = BallModelConfig(centers=standard_centers(10, 50, 5.0), per_ball=2048, seed=3)
+        tracemalloc.start()
+        try:
+            ds = sample_stochastic_ball_model(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.points.columns.nbytes
+        with pytest.raises(ValueError):
+            ds.points.columns[0, 0] = 5.0  # read-only
 
 
 class TestObjective:
@@ -331,4 +354,15 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,3,0\n1.0,2.0\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(str(path))
+
+    def test_read_points_checked_and_read_only(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2,0\n1.0\n2.5\n")
+        back = read_dataset_csv(str(path))
+        assert back.points.columns.tolist() == [[1.0, 2.5]]
+        with pytest.raises(ValueError):
+            back.points.columns[0, 0] = 5.0  # read-only
+        path.write_text("1,2,0\n1.0\nnan\n")
+        with pytest.raises(ValueError, match="finite"):
             read_dataset_csv(str(path))

@@ -9,6 +9,7 @@ from conftest import (
     reference_assign,
     reference_centroids,
     reference_kmeans_pp_centers,
+    reference_lloyd,
     reference_optimal_threshold_split,
     reference_repair_empty,
 )
@@ -76,7 +77,7 @@ class TestLloyd:
         assert np.array_equal(a.partition.labels, b.partition.labels)
         assert a.objective == b.objective
 
-    def test_seeding_bit_identical_to_reference(self, monkeypatch):
+    def test_seeding_bit_identical_to_reference(self):
         rng = np.random.default_rng(31)
         instances = []
         for k in range(2, 12):
@@ -89,6 +90,7 @@ class TestLloyd:
                     cols[:, rng.integers(n, size=n // 2)] = cols[:, :1]
                 instances.append((cols, k))
         instances.append((np.ones((3, 9)), 4))  # all points equal: d2 sums to zero
+        mid_rng = np.random.default_rng(34)
         for cols, k in instances:
             seed = int(rng.integers(2**32))
             got = solvers._kmeans_pp_centers(cols, k, np.random.default_rng(seed))
@@ -103,6 +105,12 @@ class TestLloyd:
                 assert np.array_equal(centers, reference_centroids(rows, labels, k))
                 got = solvers._assign(cols, sq_norms, centers)
                 assert np.array_equal(got, reference_assign(cols, sq_norms, centers))
+                # midpoints of center pairs: near-ties that the rounding decides
+                pairs = mid_rng.integers(k, size=(2, 200))
+                mid = 0.5 * (centers[:, pairs[0]] + centers[:, pairs[1]])
+                mid_sq = np.einsum("ij,ij->j", mid, mid)
+                got = solvers._assign(mid, mid_sq, centers)
+                assert np.array_equal(got, reference_assign(mid, mid_sq, centers))
         # whole Lloyd runs; 3 distinct points and k = 5 force empty-cluster repair
         ds = ball_dataset(seed=9, k=3, m=4, n=40, delta=2.0)
         dup = PointSet(np.repeat(ds.points.columns[:, :3], 8, axis=1) + 1e4)
@@ -123,16 +131,46 @@ class TestLloyd:
             (huge, 3, {"init": partition_from_labels(np.arange(40) % 3)}),
         ]
         with np.errstate(over="ignore", invalid="ignore"):
-            fast = [lloyd(pts, k, **kw) for pts, k, kw in runs]
-            monkeypatch.setattr(solvers, "_kmeans_pp_centers", reference_kmeans_pp_centers)
-            monkeypatch.setattr(solvers, "_repair_empty", reference_repair_empty)
-            monkeypatch.setattr(solvers, "_centroids", reference_centroids)
-            monkeypatch.setattr(solvers, "_assign", reference_assign)
-            for (pts, k, kw), got in zip(runs, fast):
-                want = lloyd(pts, k, **kw)
+            for pts, k, kw in runs:
+                got = lloyd(pts, k, **kw)
+                want = reference_lloyd(pts, k, **kw)
                 assert np.array_equal(got.partition.labels, want.partition.labels)
                 assert got.objective == want.objective
                 assert got.iterations == want.iterations
+
+    def test_incremental_centroids_match_full_recomputation(self):
+        # only clusters a moved point left or joined are recomputed; every
+        # label change must still give the full recomputation bit for bit
+        rng = np.random.default_rng(33)
+        k, n = 5, 61
+        for m, shift in ((1, 0.0), (1, 1e4), (4, 0.0), (4, 1e4)):
+            cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0) + shift
+            rows = np.ascontiguousarray(cols.T)
+            for previous in (np.sort(np.arange(n) % k), rng.permutation(np.arange(n) % k)):
+                centers = reference_centroids(rows, previous, k)
+                i, j = (int(rng.choice(np.flatnonzero(previous == a))) for a in (1, 3))
+                moved = previous.copy()
+                moved[i] = 2
+                swapped = previous.copy()
+                swapped[[i, j]] = previous[[j, i]]
+                for labels in (moved, swapped):
+                    got = solvers._centroids(rows, labels, k, centers, previous)
+                    assert np.array_equal(got, reference_centroids(rows, labels, k))
+                # nothing moved: a new array equal to the old centers
+                got = solvers._centroids(rows, previous.copy(), k, centers, previous)
+                assert got is not centers
+                assert np.array_equal(got, centers)
+                # the only point of cluster k - 1 leaves it; repair re-seeds it
+                single = previous.copy()
+                single[single == k - 1] = 0
+                single[i] = k - 1
+                single_centers = reference_centroids(rows, single, k)
+                labels = single.copy()
+                labels[i] = 0
+                labels = solvers._repair_empty(cols, labels, single_centers, k)
+                assert np.bincount(labels, minlength=k).all()
+                got = solvers._centroids(rows, labels, k, single_centers, single)
+                assert np.array_equal(got, reference_centroids(rows, labels, k))
 
     def test_repair_memory_below_one_copy_of_points(self):
         # re-seeding an empty cluster needs O(N) scratch, not an m x N array

@@ -7,12 +7,13 @@ Usage, from the root of a checkout:
 
 The first form runs ``op.run(op.prepare(seed, i))`` for ops 0 .. OPS-1 at
 each of SEEDS on every workload in ``bench/workloads.py`` (imported, never
-modified) and writes one JSON line per trial: the sha256 of its int64 labels
-and the ``repr`` of its objective, recovery flag, z, decision, detector iterations,
-final Rayleigh quotient, final alignment, lambda and confidence bound.  After
-the trials of each op it writes one line per threshold scan the op made (the
-spectral solver's, on certify-large): the sha256 of the scan's order, v, v_c
-and f, so a changed bit in f shows even where the split does not move.  After
+modified) and writes one JSON line per trial: the sha256 of its int64 labels,
+the solver's iteration count, and the ``repr`` of its objective, recovery
+flag, z, decision, detector iterations, final Rayleigh quotient, final
+alignment, lambda and confidence bound.  After the trials of each op it
+writes one line per threshold scan the op made (the spectral solver's, on
+certify-large): the sha256 of the scan's order, v, v_c and f, so a changed
+bit in f shows even where the split does not move.  After
 the trials of each op of a sweep workload it writes one more line for the
 harness CSVs: ``cli.run_sweep`` of that op's cell and base seed with
 ``check_alignment=True``, and the sha256 of its ``records_to_csv`` text (with
@@ -38,8 +39,9 @@ SEEDS = (7, 11)
 OPS = 12
 
 
-def trial_record(workload: str, seed: int, op: int, index: int, trial) -> dict:
-    """The fingerprint of one trial; floats as repr so any changed bit shows."""
+def trial_record(workload: str, seed: int, op: int, index: int, trial, solve) -> dict:
+    """The fingerprint of one trial and the SolveResult behind its partition;
+    floats as repr so any changed bit shows."""
     outcome = trial.outcome
     det = outcome.detector
     labels = trial.partition.labels.astype("int64").tobytes()
@@ -50,6 +52,7 @@ def trial_record(workload: str, seed: int, op: int, index: int, trial) -> dict:
         "trial": index,
         "labels_sha256": hashlib.sha256(labels).hexdigest(),
         "objective": repr(trial.objective),
+        "solve_iterations": solve.iterations,
         "recovered": repr(trial.recovered),
         "z": repr(outcome.z),
         "decision": outcome.decision.value,
@@ -74,21 +77,39 @@ def scan_record(workload: str, seed: int, op: int, scan) -> dict:
 
 
 @contextmanager
+def _captured(sites):
+    """Record every value returned through the ``(module, name)`` function
+    attributes in ``sites`` while the context is open, in call order."""
+    results = []
+    originals = [(module, name, getattr(module, name)) for module, name in sites]
+
+    def probe(function):
+        def wrapper(*args, **kwargs):
+            results.append(function(*args, **kwargs))
+            return results[-1]
+
+        return wrapper
+
+    for module, name, function in originals:
+        setattr(module, name, probe(function))
+    try:
+        yield results
+    finally:
+        for module, name, function in originals:
+            setattr(module, name, function)
+
+
 def captured_scans(solvers):
     """Record every scan ``solvers.optimal_threshold_split`` returns while
     the context is open."""
-    scans = []
-    original = solvers.optimal_threshold_split
+    return _captured([(solvers, "optimal_threshold_split")])
 
-    def probe(points, y):
-        scans.append(original(points, y))
-        return scans[-1]
 
-    solvers.optimal_threshold_split = probe
-    try:
-        yield scans
-    finally:
-        solvers.optimal_threshold_split = original
+def captured_solves(solvers, cli):
+    """Record every SolveResult of Lloyd and the spectral solver, at the
+    names the workloads call them through, while the context is open."""
+    names = ("lloyd", "spectral_two_means")
+    return _captured([(module, name) for module in (solvers, cli) for name in names])
 
 
 def _blank_column(text: str, name: str) -> str:
@@ -128,10 +149,13 @@ def fingerprint():
         for seed in SEEDS:
             for i in range(OPS):
                 inputs = op.prepare(seed, i)
-                with captured_scans(workloads.solvers) as scans:
+                with captured_scans(workloads.solvers) as scans, \
+                        captured_solves(workloads.solvers, workloads.cli) as solves:
                     result = op.run(inputs)
-                for index, trial in enumerate(result.trials):
-                    yield trial_record(name, seed, i, index, trial)
+                if len(solves) != len(result.trials):
+                    raise RuntimeError(f"{name} op {i}: {len(solves)} solves for {len(result.trials)} trials")
+                for index, (trial, solve) in enumerate(zip(result.trials, solves)):
+                    yield trial_record(name, seed, i, index, trial, solve)
                 for scan in scans:
                     yield scan_record(name, seed, i, scan)
                 if isinstance(op, workloads.SweepOp):

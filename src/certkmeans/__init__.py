@@ -32,12 +32,10 @@ from .certificate import (
     build_certificate_context,
     certify_partition,
     corollary_check,
-    dense_A,
     diagnostics_csv,
     recover_alpha,
 )
 from .detector import (
-    DetectorConfig,
     DetectorDecision,
     DetectorOutcome,
     EigenvectorMismatchError,
@@ -54,4 +52,6 @@ from .solvers import (
     spectral_two_means,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules, which are not exported names
+_SUBMODULES = ("certificate", "detector", "model", "solvers")
+__all__ = [name for name in dir() if not name.startswith("_") and name not in _SUBMODULES]

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import DetectorConfig, DetectorDecision, DetectorOutcome, default_epsilon, power_iteration_detect
+from .detector import DetectorDecision, DetectorOutcome, default_epsilon, power_iteration_detect
 from .model import Partition, PointSet, pairwise_sq_distances
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "CertifyOutcome",
     "build_certificate_context",
     "apply_A",
-    "dense_A",
     "dense_B",
     "dense_M",
     "dense_projection",
@@ -315,16 +314,6 @@ def dense_projection(ctx: CertificateContext) -> np.ndarray:
     return out
 
 
-def dense_A(ctx: CertificateContext) -> np.ndarray:
-    """Materialize A = (z/N) 11^T + P (B - D) P for small N (N <= 2000)."""
-    _check_dense_size(ctx)
-    ctx.require_defined()
-    n = ctx.n_points
-    proj = dense_projection(ctx)
-    core = dense_B(ctx) - pairwise_sq_distances(ctx.phi)
-    return (ctx.z / n) * np.ones((n, n)) + proj @ core @ proj
-
-
 def dense_certificate_gap(ctx: CertificateContext) -> float:
     """Margin z - lambda_max of P (B - M) P restricted to the orthogonal
     complement of the cluster-indicator span (test helper).
@@ -449,7 +438,7 @@ def certify_partition(
     if ctx.z <= 0.0:
         return CertifyOutcome(CertifyDecision.NOT_CERTIFIED, ctx.z, None, confidence_bound, epsilon)
     v = np.full(n, 1.0 / math.sqrt(n))
-    outcome = power_iteration_detect(lambda x: apply_A(ctx, x), v, DetectorConfig(epsilon=epsilon, seed=seed))
+    outcome = power_iteration_detect(lambda x: apply_A(ctx, x), v, epsilon, seed)
     return CertifyOutcome(_DETECTOR_TO_CERTIFY[outcome.decision], ctx.z, outcome, confidence_bound, epsilon)
 
 

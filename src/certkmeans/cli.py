@@ -538,6 +538,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = _require(args.sizes, "--sizes")
     k = args.clusters
+    if k < 2:
+        raise SystemExit(f"error: --clusters must be at least 2, got {k}")
     print("n_points,wall_ms,decision")
     for total in sizes:
         if total % k:

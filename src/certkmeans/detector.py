@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "DetectorDecision",
-    "DetectorConfig",
     "DetectorOutcome",
     "EigenvectorMismatchError",
     "power_iteration_detect",
@@ -33,6 +32,10 @@ Operator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 # relative residual allowed when checking that v really is an eigenvector
 EIGRES_TOL = 1e-8
+# the iteration cap is max(MIN_ITER_CAP, ceil(50 ln(1/epsilon))): the bare
+# algorithm need not terminate on degenerate pairs, so the cap turns those
+# runs into an explicit INCONCLUSIVE verdict instead of a hang
+MIN_ITER_CAP = 10_000
 
 
 class EigenvectorMismatchError(ValueError):
@@ -43,34 +46,6 @@ class DetectorDecision(enum.Enum):
     ACCEPT_H0 = "accept_h0"
     REJECT_H0_ACCEPT_H1 = "reject_h0_accept_h1"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Detector parameters.
-
-    Attributes:
-        epsilon: alignment tolerance in (0, 1); rejection fires once
-            (v^T q)^2 >= 1 - epsilon.
-        max_iter: iteration cap; ``None`` selects
-            max(10_000, ceil(50 * ln(1/epsilon))).  The bare algorithm need
-            not terminate on degenerate pairs, so the cap turns those runs
-            into an explicit third verdict instead of a hang.
-        seed: seed for the random unit-sphere initialization.
-    """
-
-    epsilon: float
-    max_iter: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_iter is None:
-            cap = max(10_000, math.ceil(50.0 * math.log(1.0 / self.epsilon)))
-            object.__setattr__(self, "max_iter", cap)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,18 +78,23 @@ def as_matvec(op: Operator, n: Optional[int]) -> tuple[Callable[[np.ndarray], np
     return (lambda x: mat @ x), mat.shape[0]
 
 
-def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) -> DetectorOutcome:
+def power_iteration_detect(op: Operator, v: np.ndarray, epsilon: float, seed: int = 0) -> DetectorOutcome:
     """Decide whether span(v) is the unique leading eigenspace of ``op``.
 
     ``op`` is a symmetric operator given as a square ndarray or as a
-    matvec callable.  One operator application per loop iteration: the
-    product A q is used both for the Rayleigh quotient and for the update.
+    matvec callable.  Rejection of H0 fires once (v^T q)^2 >= 1 - epsilon,
+    for an ``epsilon`` in (0, 1); ``seed`` seeds the random unit-sphere
+    start q.  One operator application per loop iteration: the product A q
+    is used both for the Rayleigh quotient and for the update.
 
     Raises:
         EigenvectorMismatchError: v is not unit-norm within 1e-10, or its
             eigenvector residual exceeds ``EIGRES_TOL`` times the largest of
             |lam|, ||A v|| and ||A q|| for the random unit start q.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    max_iter = max(MIN_ITER_CAP, math.ceil(50.0 * math.log(1.0 / epsilon)))
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
@@ -126,7 +106,7 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
     lam = float(v @ av)
     residual = float(np.linalg.norm(av - lam * v))
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     aq = matvec(q)
@@ -139,14 +119,14 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
     abs_lam = abs(lam)
 
     align = rayleigh = math.nan
-    for j in range(config.max_iter + 1):
+    for j in range(max_iter + 1):
         rayleigh = float(q @ aq)
         align = float(v @ q) ** 2
         if abs(rayleigh) > abs_lam:
             return DetectorOutcome(DetectorDecision.ACCEPT_H0, j, align, rayleigh, lam)
-        if align >= 1.0 - config.epsilon:
+        if align >= 1.0 - epsilon:
             return DetectorOutcome(DetectorDecision.REJECT_H0_ACCEPT_H1, j, align, rayleigh, lam)
-        if j == config.max_iter:
+        if j == max_iter:
             break
         norm_aq = math.sqrt(aq.dot(aq))
         if norm_aq <= 1e-300:
@@ -157,7 +137,7 @@ def power_iteration_detect(op: Operator, v: np.ndarray, config: DetectorConfig) 
             return DetectorOutcome(DetectorDecision.INCONCLUSIVE, j, align, rayleigh, lam)
         q = aq / norm_aq
         aq = matvec(q)
-    return DetectorOutcome(DetectorDecision.INCONCLUSIVE, config.max_iter, align, rayleigh, lam)
+    return DetectorOutcome(DetectorDecision.INCONCLUSIVE, max_iter, align, rayleigh, lam)
 
 
 def default_epsilon(n: int) -> float:

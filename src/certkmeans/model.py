@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,33 +95,38 @@ def _adopt_columns(cols: np.ndarray) -> PointSet:
 class Partition:
     """An assignment of N point indices to k nonempty clusters.
 
+    ``Partition(labels)`` takes integer (or bool) cluster ids forming
+    {0, ..., k-1} with no gaps, and derives ``k`` and ``sizes`` from them;
+    a gap means an empty cluster and is rejected.
+
     Attributes:
-        labels: length-N array of cluster ids in {0, ..., k-1}.
+        labels: read-only length-N int64 array of cluster ids in {0, ..., k-1}.
         k: number of clusters.
-        sizes: length-k array of cluster sizes (each >= 1, summing to N).
+        sizes: read-only length-k array of cluster sizes (each >= 1, summing to N).
     """
 
     labels: np.ndarray
-    k: int
-    sizes: np.ndarray
+    k: int = field(init=False)
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a nonempty 1-D sequence")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if labels.min() < 0 or labels.max() >= self.k:
-            raise ValueError("labels must lie in {0, ..., k-1}")
-        counts = np.bincount(labels, minlength=self.k)
-        if (counts < 1).any():
-            missing = int(np.flatnonzero(counts < 1)[0])
+        # casting floats to int64 would truncate 0.9 to cluster 0
+        if labels.dtype.kind not in "biu":
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = _read_only(labels.astype(np.int64, copy=False))
+        if labels.min() < 0:
+            raise ValueError("labels must be nonnegative")
+        sizes = np.bincount(labels)
+        if (sizes < 1).any():
+            missing = int(np.flatnonzero(sizes < 1)[0])
             raise ValueError(f"cluster id {missing} is empty")
-        sizes = np.asarray(self.sizes, dtype=np.int64)
-        if not np.array_equal(sizes, counts):
-            raise ValueError("sizes inconsistent with labels")
-        object.__setattr__(self, "labels", _read_only(labels))
-        object.__setattr__(self, "sizes", _read_only(sizes))
+        sizes.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", sizes.size)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def count(self) -> int:
@@ -129,18 +134,8 @@ class Partition:
 
 
 def partition_from_labels(labels: Sequence[int]) -> Partition:
-    """Build a validated Partition from raw labels.
-
-    The ids must form {0, ..., k-1} with no gaps; a gap means an empty
-    cluster and is rejected.
-    """
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("labels must be a nonempty 1-D sequence")
-    if arr.min() < 0:
-        raise ValueError("labels must be nonnegative")
-    k = int(arr.max()) + 1
-    return Partition(labels=arr, k=k, sizes=np.bincount(arr, minlength=k))
+    """``Partition(labels)``: the validated partition with ids {0, ..., k-1}."""
+    return Partition(labels)
 
 
 def partitions_equal(p: Partition, q: Partition) -> bool:
@@ -244,6 +239,8 @@ def standard_centers(k: int, m: int, delta: float) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    if m < 1:
+        raise ValueError("need m >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if k == 2:

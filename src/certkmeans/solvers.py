@@ -36,6 +36,8 @@ __all__ = [
 # or after EIG_MAX_ITER updates
 EIG_TOL = 1e-8
 EIG_MAX_ITER = 10_000
+# Lloyd stops once the centroids stop moving, or after LLOYD_MAX_ITER updates
+LLOYD_MAX_ITER = 100
 # exhaustive search refuses inputs with more k-block partitions than this
 PARTITION_CAP = 10_000_000
 
@@ -178,11 +180,10 @@ def lloyd(
     points: PointSet,
     k: int,
     init: Union[str, Partition] = "kmeans++",
-    max_iter: int = 100,
     seed: int = 0,
 ) -> SolveResult:
     """Lloyd's algorithm: alternate nearest-centroid assignment and centroid
-    updates until the centroids stop moving (or max_iter).
+    updates until the centroids stop moving (or LLOYD_MAX_ITER updates).
 
     ``init`` is either "kmeans++" for D^2 seeding or a Partition whose
     centroids seed the iteration.  Empty clusters are repaired by
@@ -195,8 +196,6 @@ def lloyd(
         raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
     if k < 1:
         raise ValueError("k must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     sq_norms = np.einsum("ij,ij->j", cols, cols)
     if isinstance(init, Partition):
         if init.count != n or init.k != k:
@@ -212,7 +211,7 @@ def lloyd(
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LLOYD_MAX_ITER + 1):
         previous = labels
         labels = _assign(cols, sq_norms, centers)
         if (np.bincount(labels, minlength=k) == 0).any():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from certkmeans.certificate import dense_B, dense_projection
 from certkmeans.model import (
     BallModelConfig,
     Partition,
@@ -150,6 +151,16 @@ def pi_epsilon_bound(n, epsilon):
     if epsilon < math.exp(-2.0 * n) / n:
         raise ValueError("epsilon below the validity floor n^-1 e^-2n")
     return 3.0 * math.sqrt(n * epsilon)
+
+
+def dense_A(ctx):
+    """Materialize A = (z/N) 11^T + P (B - D) P.  The library's dense_projection
+    and dense_B keep it to N <= 2000 and raise CertificateUndefinedError for an
+    undefined context."""
+    n = ctx.n_points
+    proj = dense_projection(ctx)
+    core = dense_B(ctx) - pairwise_sq_distances(ctx.phi)
+    return (ctx.z / n) * np.ones((n, n)) + proj @ core @ proj
 
 
 def dense_E(ctx):

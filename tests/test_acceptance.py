@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ball_dataset, counterexample_1d_objectives, dense_E
+from conftest import ball_dataset, counterexample_1d_objectives, dense_A, dense_E
 from certkmeans.certificate import (
     CertifyDecision,
     apply_A,
     build_certificate_context,
     certify_partition,
     corollary_check,
-    dense_A,
 )
-from certkmeans.detector import DetectorConfig, DetectorDecision, power_iteration_detect
+from certkmeans.detector import DetectorDecision, power_iteration_detect
 from certkmeans.model import (
     PointSet,
     kmeans_objective,
@@ -194,7 +193,7 @@ def test_criterion_7_detector_statistics():
     v[0] = 1.0
     good = 0
     for seed in range(1000):
-        out = power_iteration_detect(mat, v, DetectorConfig(epsilon=eps, seed=seed))
+        out = power_iteration_detect(mat, v, eps, seed)
         good += out.decision is DetectorDecision.REJECT_H0_ACCEPT_H1 and out.iterations <= limit
     part_b = good >= math.floor(1000 * (1.0 - bound))
 

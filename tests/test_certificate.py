@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     ball_dataset,
+    dense_A,
     dense_E,
     gaussian_instance,
     reference_apply_A,
@@ -19,7 +20,6 @@ from certkmeans.certificate import (
     build_certificate_context,
     certify_partition,
     corollary_check,
-    dense_A,
     dense_B,
     dense_M,
     dense_certificate_gap,

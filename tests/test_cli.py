@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,12 @@ class TestCommandLine:
             ]
         )
         assert rc == 3
+        # a dimension the sampler rejects gives one error row per trial, not a traceback
+        rc = main(["sweep", "--delta", "2.5", "--dim", "0", "--per-ball", "3", "--trials", "2", "--strict",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        records, _ = run_sweep([2.5], [2], [0], [3], trials=2)
+        assert [(r.cert_decision, r.error) for r in records] == [("error", "need m >= 1")] * 2
 
     def test_bench_runs(self, capsys):
         rc = main(["bench", "--sizes", "64,128", "--dim", "4", "--clusters", "2", "--delta", "2.6", "--repeats", "1", "--seed", "1"])
@@ -364,7 +371,7 @@ class TestCommandLine:
         assert lines[0] == "n_points,wall_ms,decision"
         assert len(lines) == 3
 
-    def test_invalid_arguments_exit_2(self, capsys):
+    def test_invalid_arguments_exit_2(self, tmp_path, capsys):
         for argv in (
             ["solve", "--nonsense"],
             ["sweep", "--delta", "1:2"],
@@ -376,6 +383,15 @@ class TestCommandLine:
                 main(argv)
             assert exc.value.code == 2, argv
             assert capsys.readouterr().err.splitlines()[-1].startswith("certkmeans"), argv
+        # values argparse accepts but the library or the command rejects: one error line, no traceback
+        for argv, message in (
+            (["generate", "--dim", "0", "--out", str(tmp_path / "x.csv")], "need m >= 1"),
+            (["bench", "--sizes", "64", "--clusters", "0"], "--clusters must be at least 2"),
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1, argv
 
     def test_missing_required_returns_2(self, tmp_path, capsys, three_ball_csv):
         config = tmp_path / "conf.json"
@@ -509,6 +525,12 @@ class TestImportBoundary:
         run = self._python("-c", "import sys, certkmeans; print(sorted({'argparse', 'certkmeans.cli'} & set(sys.modules)))")
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+    def test_all_names_are_attributes_not_modules(self):
+        for name in certkmeans.__all__:
+            assert hasattr(certkmeans, name), name
+            assert not isinstance(getattr(certkmeans, name), types.ModuleType), name
+        assert not {"DetectorConfig", "dense_A"} & set(certkmeans.__all__)
 
     def test_module_entry_point_without_runpy_warning(self):
         run = self._python("-W", "error::RuntimeWarning", "-m", "certkmeans.cli", "--help")

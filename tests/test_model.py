@@ -17,6 +17,7 @@ from conftest import (
 from certkmeans.model import (
     BallModelConfig,
     Dataset,
+    Partition,
     PointSet,
     TWO_POINT_SYM,
     UNIFORM_BALL,
@@ -65,6 +66,35 @@ class TestTypes:
     def test_partition_empty_input_rejected(self):
         with pytest.raises(ValueError):
             partition_from_labels([])
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([[0, 1], [1, 0]], "nonempty 1-D"),
+            ([-1, 0], "nonnegative"),
+            # casting would truncate these to [0, 0, 1] and [0, 1, 2]
+            ([0.0, 0.9, 1.5], "integers"),
+            (np.array([0.2, 1.7, 2.9]), "integers"),
+        ],
+        ids=["2d", "negative", "float-list", "float-array"],
+    )
+    def test_partition_invalid_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            partition_from_labels(labels)
+
+    def test_partition_derives_k_and_sizes(self):
+        p = Partition(np.array([True, False, True]))
+        assert p.k == 2 and list(p.sizes) == [1, 2] and p.labels.dtype == np.int64
+        with pytest.raises(ValueError):
+            p.labels[0] = 1  # read-only copy
+        with pytest.raises(ValueError):
+            p.sizes[0] = 3
+        with pytest.raises(TypeError):
+            Partition([0, 1], k=2, sizes=[1, 1])
+        arr = np.array([0, 1, 1])
+        q = Partition(arr)
+        arr[0] = 1  # the caller's array stays writable and apart
+        assert q.labels[0] == 0
 
     def test_partitions_equal_up_to_relabeling(self):
         p = partition_from_labels([0, 0, 1, 2])

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import DetectorDecision, DetectorOutcome, default_epsilon, power_iteration_detect
+from .detector import DetectorDecision, DetectorOutcome, check_epsilon, default_epsilon, power_iteration_detect
 from .model import Partition, PointSet, pairwise_sq_distances
 
 __all__ = [
@@ -429,8 +429,7 @@ def certify_partition(
     n = points.count
     if epsilon is None:
         epsilon = default_epsilon(n)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     confidence_bound = 3.0 * math.sqrt(n * epsilon)
     ctx = build_certificate_context(points, partition)
     if ctx.is_undefined:

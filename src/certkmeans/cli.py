@@ -233,8 +233,6 @@ def run_trial(
     """Sample, solve, optionally certify; deterministic given ``seed``
     (wall time excluded).  ``config.seed`` is ignored in favor of the
     sampler stream derived from ``seed``."""
-    if solver not in PARTITION_SOURCES:
-        raise ValueError(f"unknown solver {solver!r}")
     streams = derive_streams(seed)
     dataset = sample_stochastic_ball_model(replace(config, seed=streams.sample))
 
@@ -301,7 +299,6 @@ _SUMMARY_COLUMNS = (
     ("certified_rate", "certified_rate", float),
     ("recovered_rate", "recovered_rate", float),
 )
-SUMMARY_CSV_HEADER = ",".join(name for name, _, _ in _SUMMARY_COLUMNS)
 
 
 def summarize_records(records: Sequence[TrialRecord]) -> list[CellSummary]:
@@ -481,15 +478,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     dataset = read_dataset_csv(_require(args.input, "--in"))
-    if args.use_planted:
-        if dataset.planted is None:
-            raise SystemExit("error: dataset has no planted labels")
-        partition, tag = dataset.planted, "planted"
-    else:
-        result = _solve_dataset(dataset, args)
-        partition, tag = result.partition, result.solver_tag
-    outcome = certify_partition(dataset.points, partition, args.epsilon, seed=args.seed)
-    print(f"partition: {tag}")
+    result = _solve(dataset, "planted", 0, args.seed) if args.use_planted else _solve_dataset(dataset, args)
+    outcome = certify_partition(dataset.points, result.partition, args.epsilon, seed=args.seed)
+    print(f"partition: {result.solver_tag}")
     print(f"decision: {outcome.decision.value}")
     print(f"z: {outcome.z!r}")
     print(f"epsilon: {outcome.epsilon!r}")
@@ -540,16 +531,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     k = args.clusters
     if k < 2:
         raise SystemExit(f"error: --clusters must be at least 2, got {k}")
+    for total in sizes:
+        if total < 1 or total % k:
+            raise SystemExit(f"error: size {total} is not a positive multiple of k={k}")
+    if args.repeats < 1:
+        raise SystemExit(f"error: --repeats must be at least 1, got {args.repeats}")
     print("n_points,wall_ms,decision")
     for total in sizes:
-        if total % k:
-            raise SystemExit(f"error: size {total} not divisible by k={k}")
         config = _build_ball_config(args.dim, k, total // k, args.delta, UNIFORM_BALL, args.seed)
         streams = derive_streams(args.seed)
         dataset = sample_stochastic_ball_model(replace(config, seed=streams.sample))
         best = math.inf
         decision = ""
-        for _ in range(max(args.repeats, 1)):
+        for _ in range(args.repeats):
             start = time.perf_counter()
             outcome = certify_partition(dataset.points, dataset.planted, seed=streams.detector)
             best = min(best, (time.perf_counter() - start) * 1000.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "power_iteration_detect",
     "default_epsilon",
 ]
-
-Operator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 # relative residual allowed when checking that v really is an eigenvector
 EIGRES_TOL = 1e-8
@@ -63,26 +61,19 @@ class DetectorOutcome:
     lam: float
 
 
-def as_matvec(op: Operator, n: Optional[int]) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """A square ndarray or a matvec callable as (matvec, dimension).
-
-    A matrix gives its own dimension; a callable needs ``n``.
-    """
-    if callable(op):
-        if n is None:
-            raise ValueError("dimension n is required for a callable operator")
-        return op, int(n)
-    mat = np.asarray(op, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("operator matrix must be square")
-    return (lambda x: mat @ x), mat.shape[0]
+def check_epsilon(epsilon: float) -> None:
+    """Reject a detector tolerance outside (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
-def power_iteration_detect(op: Operator, v: np.ndarray, epsilon: float, seed: int = 0) -> DetectorOutcome:
-    """Decide whether span(v) is the unique leading eigenspace of ``op``.
+def power_iteration_detect(
+    matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray, epsilon: float, seed: int = 0
+) -> DetectorOutcome:
+    """Decide whether span(v) is the unique leading eigenspace of ``matvec``.
 
-    ``op`` is a symmetric operator given as a square ndarray or as a
-    matvec callable.  Rejection of H0 fires once (v^T q)^2 >= 1 - epsilon,
+    ``matvec`` applies a symmetric operator (a matrix A is passed as
+    ``A.__matmul__``).  Rejection of H0 fires once (v^T q)^2 >= 1 - epsilon,
     for an ``epsilon`` in (0, 1); ``seed`` seeds the random unit-sphere
     start q.  One operator application per loop iteration: the product A q
     is used both for the Rayleigh quotient and for the update.
@@ -92,14 +83,12 @@ def power_iteration_detect(op: Operator, v: np.ndarray, epsilon: float, seed: in
             eigenvector residual exceeds ``EIGRES_TOL`` times the largest of
             |lam|, ||A v|| and ||A q|| for the random unit start q.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     max_iter = max(MIN_ITER_CAP, math.ceil(50.0 * math.log(1.0 / epsilon)))
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
     n = v.size
-    matvec, _ = as_matvec(op, n)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise EigenvectorMismatchError("v must have unit norm")
     av = matvec(v)

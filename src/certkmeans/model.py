@@ -337,8 +337,15 @@ def read_dataset_csv(path: str) -> Dataset:
         if len(header) != 3:
             raise ValueError("expected header row 'm,N,k_planted'")
         m, n, k_planted = (int(v) for v in header)
-        cols = np.empty((m, n))
-        labels = np.empty(n, dtype=np.int64) if k_planted > 0 else None
+        for name, value, low in (("m", m, 1), ("N", n, 1), ("k_planted", k_planted, 0)):
+            if value < low:
+                raise ValueError(f"header field {name} must be at least {low}, got {value}")
+        try:
+            cols = np.empty((m, n))
+            labels = np.empty(n, dtype=np.int64) if k_planted > 0 else None
+        except (MemoryError, ValueError):
+            # numpy raises MemoryError, or ValueError past its size limit
+            raise ValueError(f"cannot allocate the declared {m} x {n} points") from None
         width = m + (1 if k_planted > 0 else 0)
         seen = 0
         for row in reader:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .detector import Operator, as_matvec
 from .model import Partition, PointSet, kmeans_objective, partition_from_labels
 
 __all__ = [
@@ -176,6 +175,13 @@ def _kmeans_pp_centers(cols: np.ndarray, k: int, rng: np.random.Generator) -> np
     return cols[:, chosen].copy()
 
 
+def _check_cluster_count(n: int, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if n < k:
+        raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
+
+
 def lloyd(
     points: PointSet,
     k: int,
@@ -192,10 +198,7 @@ def lloyd(
     """
     cols = points.columns
     n = points.count
-    if n < k:
-        raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_cluster_count(n, k)
     sq_norms = np.einsum("ij,ij->j", cols, cols)
     if isinstance(init, Partition):
         if init.count != n or init.k != k:
@@ -224,16 +227,16 @@ def lloyd(
     return SolveResult(partition, kmeans_objective(points, partition), iterations, "lloyd")
 
 
-def leading_eigenvector(op: Operator, n: Optional[int] = None, *, seed: int = 0) -> EigenResult:
-    """Power iteration for the leading (largest-magnitude) eigenpair.
+def leading_eigenvector(matvec: Callable[[np.ndarray], np.ndarray], n: int, *, seed: int = 0) -> EigenResult:
+    """Power iteration for the leading (largest-magnitude) eigenpair of the
+    symmetric n x n operator ``matvec``.
 
     Stops once the eigenvector residual ||A q - (q^T A q) q|| drops below
     EIG_TOL * |q^T A q|; at the cap of EIG_MAX_ITER updates the best iterate
     seen is returned with ``converged`` False.
     """
-    matvec, dim = as_matvec(op, n)
     rng = np.random.default_rng(seed)
-    q = rng.standard_normal(dim)
+    q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     best = (math.inf, q, 0.0, 0)
     for it in range(EIG_MAX_ITER + 1):
@@ -339,13 +342,11 @@ def spectral_two_means(points: PointSet, *, seed: int = 0) -> SolveResult:
     makes the result exactly optimal for k = 2.
     """
     n = points.count
-    if n < 2:
-        raise ValueError("need at least two points")
     cols = points.columns
     centered = cols - cols.mean(axis=1)[:, None]
     if points.dim <= n:
         gram = centered @ centered.T
-        eig = leading_eigenvector(gram, seed=seed)
+        eig = leading_eigenvector(gram.__matmul__, points.dim, seed=seed)
         y = centered.T @ eig.vector
     else:
         eig = leading_eigenvector(lambda x: centered.T @ (centered @ x), n, seed=seed)
@@ -409,10 +410,7 @@ def exact_kmeans_bruteforce(points: PointSet, k: int) -> SolveResult:
     once with vectorized per-cluster statistics.
     """
     n = points.count
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < k:
-        raise ValueError(f"cannot split {n} points into {k} nonempty clusters")
+    _check_cluster_count(n, k)
     count = stirling_partition_count(n, k)
     if count > PARTITION_CAP:
         raise ValueError(f"{count} partitions exceed the cap of {PARTITION_CAP}")

@@ -193,7 +193,7 @@ def test_criterion_7_detector_statistics():
     v[0] = 1.0
     good = 0
     for seed in range(1000):
-        out = power_iteration_detect(mat, v, eps, seed)
+        out = power_iteration_detect(mat.__matmul__, v, eps, seed)
         good += out.decision is DetectorDecision.REJECT_H0_ACCEPT_H1 and out.iterations <= limit
     part_b = good >= math.floor(1000 * (1.0 - bound))
 

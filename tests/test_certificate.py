@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from certkmeans.certificate import (
 )
 from certkmeans.detector import default_epsilon
 from certkmeans.model import (
+    Partition,
     PointSet,
     kmeans_objective,
     pairwise_sq_distances,
@@ -487,3 +489,24 @@ class TestSoundnessSmoke:
                 obj = kmeans_objective(ds.points, ds.planted)
                 assert obj <= brute.objective + 1e-9 * max(1.0, brute.objective)
         assert certified >= 5  # sanity: the regime does produce certificates
+
+
+TWO_BALLS = ball_dataset(seed=15)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_certificate_context(TWO_BALLS.points, partition_from_labels([0, 1])),
+         "partition does not match point count"),
+        (lambda: build_certificate_context(TWO_BALLS.points, Partition(np.zeros(20, dtype=np.int64))),
+         "certificate needs at least two clusters"),
+        (lambda: apply_A(build_certificate_context(TWO_BALLS.points, TWO_BALLS.planted), np.ones(3)),
+         "expected a length-20 vector, got shape (3,)"),
+        (lambda: certify_partition(TWO_BALLS.points, TWO_BALLS.planted, epsilon=1.0), "epsilon must lie in (0, 1)"),
+    ],
+    ids=["count", "one-cluster", "vector-length", "epsilon"],
+)
+def test_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

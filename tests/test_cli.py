@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import types
@@ -61,8 +62,20 @@ class TestRunTrial:
             run_trial(cfg, solver="spectral2")
 
     def test_unknown_solver(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown solver 'annealing'"):
             run_trial(figure_config(n=4), solver="annealing")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: run_sweep([], [2], [2], [4], trials=1), "grid must be nonempty"),
+            (lambda: run_sweep([3.0], [2], [2], [4], trials=0), "need at least one trial per cell"),
+        ],
+        ids=["grid", "trials"],
+    )
+    def test_sweep_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     def test_deterministic_given_seed(self):
         cfg = figure_config(n=16)
@@ -387,11 +400,30 @@ class TestCommandLine:
         for argv, message in (
             (["generate", "--dim", "0", "--out", str(tmp_path / "x.csv")], "need m >= 1"),
             (["bench", "--sizes", "64", "--clusters", "0"], "--clusters must be at least 2"),
+            # every size and --repeats are checked before the header is printed
+            (["bench", "--sizes", "0"], "size 0 is not a positive multiple of k=2"),
+            (["bench", "--sizes", "64,-4"], "size -4 is not a positive multiple of k=2"),
+            (["bench", "--sizes", "64,65"], "size 65 is not a positive multiple of k=2"),
+            (["bench", "--sizes", "64", "--repeats", "0"], "--repeats must be at least 1, got 0"),
+            (["bench", "--sizes", "64", "--repeats", "-5"], "--repeats must be at least 1, got -5"),
+            (["sweep", "--delta", "3:2:0.5"], "grid must be nonempty"),
         ):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            # the range form the README documents; equal, bit for bit, to the
+            # delta grid of the benchmark's sweep-small workload
+            ("2.0:3.0:0.1", [2.0 + 0.1 * i for i in range(11)]),
+            ("2:3:0.5", [2.0, 2.5, 3.0]),
+        ],
+    )
+    def test_delta_range(self, text, values):
+        assert cli.build_parser().parse_args(["sweep", "--delta", text]).delta == values
 
     def test_missing_required_returns_2(self, tmp_path, capsys, three_ball_csv):
         config = tmp_path / "conf.json"
@@ -403,6 +435,11 @@ class TestCommandLine:
             # library ValueErrors: three balls need m >= 3, spectral2 needs k = 2
             (["generate", "--clusters", "3", "--out", str(tmp_path / "x.csv")], None, "needs m >= k"),
             (["solve", "--in", three_ball_csv, "--solver", "spectral2"], None, "two clusters only"),
+            # dataset files: the config path holds the CSV text
+            (["certify", "--in", str(config), "--use-planted"], "2,2,0\n0.0,1.0\n1.0,0.0\n",
+             "no planted partition to certify"),
+            (["certify", "--in", str(config)], "2,-3,0\n", "header field N must be at least 1, got -3"),
+            (["certify", "--in", str(config)], "6,1000000000000000000,2\n", "cannot allocate the declared"),
         ):
             if config_text is not None:
                 config.write_text(config_text)

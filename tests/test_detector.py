@@ -34,33 +34,33 @@ def e(i, n):
 
 class TestDecisions:
     def test_unique_leading_rejects_h0(self):
-        out = power_iteration_detect(np.diag([3.0, 1.0, 1.0]), e(0, 3), 1e-4, seed=0)
+        out = power_iteration_detect(np.diag([3.0, 1.0, 1.0]).__matmul__, e(0, 3), 1e-4, seed=0)
         assert out.decision is DetectorDecision.REJECT_H0_ACCEPT_H1
         assert out.final_alignment >= 1.0 - 1e-4
         assert out.lam == pytest.approx(3.0)
 
     def test_dominated_eigenvector_accepts_h0(self):
-        out = power_iteration_detect(np.diag([1.0, 3.0]), e(0, 2), 1e-4, seed=1)
+        out = power_iteration_detect(np.diag([1.0, 3.0]).__matmul__, e(0, 2), 1e-4, seed=1)
         assert out.decision is DetectorDecision.ACCEPT_H0
         assert abs(out.final_rayleigh) > abs(out.lam)
 
     def test_degenerate_negative_pair_inconclusive(self, monkeypatch):
         # -lambda_1 in the spectrum: the iteration cannot settle
         monkeypatch.setattr(detector, "MIN_ITER_CAP", 3000)
-        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]), e(0, 3), 1e-4, seed=2)
+        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]).__matmul__, e(0, 3), 1e-4, seed=2)
         assert out.decision is DetectorDecision.INCONCLUSIVE
         assert out.iterations == 3000
 
     def test_iteration_cap_grows_with_log_inverse_epsilon(self):
         # the cap is max(MIN_ITER_CAP, ceil(50 ln(1/epsilon))): 11513 at 1e-100
-        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]), e(0, 3), 1e-100, seed=2)
+        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]).__matmul__, e(0, 3), 1e-100, seed=2)
         assert out.decision is DetectorDecision.INCONCLUSIVE
         assert out.iterations == math.ceil(50.0 * math.log(1e100)) == 11513
-        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]), e(0, 3), 1e-4, seed=2)
+        out = power_iteration_detect(np.diag([3.0, -3.0, 1.0]).__matmul__, e(0, 3), 1e-4, seed=2)
         assert out.iterations == detector.MIN_ITER_CAP
 
     def test_zero_operator_accepts_h0(self):
-        out = power_iteration_detect(np.zeros((5, 5)), e(0, 5), 1e-6, seed=3)
+        out = power_iteration_detect(np.zeros((5, 5)).__matmul__, e(0, 5), 1e-6, seed=3)
         assert out.decision is DetectorDecision.ACCEPT_H0
         assert out.lam == 0.0
 
@@ -73,11 +73,11 @@ class TestDecisions:
 class TestPreconditions:
     def test_non_unit_v(self):
         with pytest.raises(EigenvectorMismatchError):
-            power_iteration_detect(np.eye(3), np.array([1.0, 1.0, 0.0]), 1e-4)
+            power_iteration_detect(np.eye(3).__matmul__, np.array([1.0, 1.0, 0.0]), 1e-4)
 
     def test_non_eigenvector_v(self):
         with pytest.raises(EigenvectorMismatchError):
-            power_iteration_detect(np.diag([1.0, 2.0]), unit([1.0, 1.0]), 1e-4)
+            power_iteration_detect(np.diag([1.0, 2.0]).__matmul__, unit([1.0, 1.0]), 1e-4)
 
     def test_tiny_eigenvalue_of_a_large_operator(self):
         # op 77 of the many-clusters benchmark at seed 914: Lloyd sticks at a
@@ -110,14 +110,14 @@ class TestPreconditions:
     def test_epsilon_range(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError, match="epsilon"):
-                power_iteration_detect(np.diag([2.0, 1.0]), e(0, 2), bad)
+                power_iteration_detect(np.diag([2.0, 1.0]).__matmul__, e(0, 2), bad)
 
 
 class TestDeterminism:
     def test_fixed_seed_repeats(self):
         mat = np.diag([2.0, 1.0, 0.5, -0.3])
-        a = power_iteration_detect(mat, e(0, 4), 1e-8, seed=11)
-        b = power_iteration_detect(mat, e(0, 4), 1e-8, seed=11)
+        a = power_iteration_detect(mat.__matmul__, e(0, 4), 1e-8, seed=11)
+        b = power_iteration_detect(mat.__matmul__, e(0, 4), 1e-8, seed=11)
         assert a == b
 
 
@@ -152,7 +152,7 @@ class TestProperties:
         mat = np.diag(diag)
         failures = 0
         for seed in range(100):
-            out = power_iteration_detect(mat, e(0, n), eps, seed=seed)
+            out = power_iteration_detect(mat.__matmul__, e(0, n), eps, seed=seed)
             if out.decision is not DetectorDecision.REJECT_H0_ACCEPT_H1 or out.iterations > bound:
                 failures += 1
         assert failures <= math.ceil(100 * 3.0 * math.sqrt(n * eps))
@@ -163,7 +163,7 @@ class TestProperties:
         diag = np.concatenate(([3.0], np.linspace(1.2, -1.2, n - 1)))
         mat = np.diag(diag)
         for seed in range(1000):
-            out = power_iteration_detect(mat, e(0, n), 1e-6, seed=seed)
+            out = power_iteration_detect(mat.__matmul__, e(0, n), 1e-6, seed=seed)
             assert out.decision is DetectorDecision.REJECT_H0_ACCEPT_H1
 
     def test_outcome_invariants(self, monkeypatch):
@@ -175,7 +175,7 @@ class TestProperties:
             eigs = rng.uniform(-2.0, 2.0, n)
             mat = basis @ np.diag(eigs) @ basis.T
             p = int(rng.integers(n))
-            out = power_iteration_detect(mat, basis[:, p], 1e-5, seed=seed)
+            out = power_iteration_detect(mat.__matmul__, basis[:, p], 1e-5, seed=seed)
             if out.decision is DetectorDecision.REJECT_H0_ACCEPT_H1:
                 assert out.final_alignment >= 1.0 - 1e-5
             elif out.decision is DetectorDecision.ACCEPT_H0:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,11 @@ class TestObjective:
             assert repr(kmeans_objective(pts, part)) == repr(reference_kmeans_objective(pts, part))
 
 
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="partition does not match point count"):
+            kmeans_objective(PointSet(np.zeros((1, 3))), partition_from_labels([0, 1]))
+
+
 class TestCounterexample1D:
     def test_frozen_values(self):
         planted, alt = counterexample_1d_objectives(2.5)
@@ -384,6 +390,30 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,3,0\n1.0,2.0\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty dataset file"),
+            ("2,3\n", "expected header row 'm,N,k_planted'"),
+            ("1,1,0\n1.0\n2.0\n", "more data rows than declared"),
+            ("2,1,0\n1.0\n", "row 2: expected 2 fields, got 1"),
+            ("1,2,0\n1.0\n", "fewer data rows than declared"),
+            ("1,2,2\n1.0,0\n2.0,0\n", "label column inconsistent with declared k_planted"),
+            ("0,3,0\n", "header field m must be at least 1, got 0"),
+            ("2,-3,0\n", "header field N must be at least 1, got -3"),
+            ("1,2,-1\n1.0\n2.0\n", "header field k_planted must be at least 0, got -1"),
+            # past numpy's size limit, so nothing is allocated
+            ("6,1000000000000000000,2\n", "cannot allocate the declared 6 x 1000000000000000000 points"),
+        ],
+        ids=["empty", "header-width", "extra-row", "row-width", "missing-row", "label-k", "m", "N",
+             "k_planted", "huge"],
+    )
+    def test_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_dataset_csv(str(path))
 
     def test_read_points_checked_and_read_only(self, tmp_path):

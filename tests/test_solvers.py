@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,20 +198,20 @@ class TestLloyd:
 
 class TestLeadingEigenvector:
     def test_diag(self):
-        res = leading_eigenvector(np.diag([5.0, 1.0]), seed=0)
+        res = leading_eigenvector(np.diag([5.0, 1.0]).__matmul__, 2, seed=0)
         assert res.converged
         assert res.rayleigh == pytest.approx(5.0, rel=1e-7)
         assert abs(res.vector[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_rank_one_single_iteration(self):
         w = np.array([1.0, -2.0, 0.5, 3.0])
-        res = leading_eigenvector(np.outer(w, w), seed=3)
+        res = leading_eigenvector(np.outer(w, w).__matmul__, 4, seed=3)
         assert res.converged
         assert res.iterations == 1
         assert res.rayleigh == pytest.approx(float(w @ w), rel=1e-12)
 
     def test_negative_leading(self):
-        res = leading_eigenvector(np.diag([-4.0, 1.0]), seed=2)
+        res = leading_eigenvector(np.diag([-4.0, 1.0]).__matmul__, 2, seed=2)
         assert res.converged
         assert res.rayleigh == pytest.approx(-4.0, rel=1e-7)
 
@@ -228,10 +229,6 @@ class TestLeadingEigenvector:
                 q /= np.linalg.norm(q)
                 lower = 1.0 - (1.0 / c0 - 1.0) * 0.25**j
                 assert q[0] ** 2 >= lower - 1e-12
-
-    def test_callable_requires_dimension(self):
-        with pytest.raises(ValueError):
-            leading_eigenvector(lambda x: x)
 
 
 class TestThresholdScan:
@@ -444,3 +441,25 @@ class TestBruteforce:
             brute = exact_kmeans_bruteforce(pts, 3)
             heur = lloyd(pts, 3, seed=trial)
             assert brute.objective <= heur.objective + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lloyd(LINE, 2, init=partition_from_labels([0, 1, 1])), "initial partition does not match points/k"),
+        (lambda: lloyd(LINE, 3, init=partition_from_labels([0, 0, 1, 1])), "initial partition does not match points/k"),
+        (lambda: lloyd(LINE, 2, init="random"), "unknown init 'random'"),
+        (lambda: lloyd(LINE, 0), "k must be positive"),
+        (lambda: lloyd(LINE, 5), "cannot split 4 points into 5 nonempty clusters"),
+        (lambda: exact_kmeans_bruteforce(LINE, 0), "k must be positive"),
+        (lambda: exact_kmeans_bruteforce(LINE, 5), "cannot split 4 points into 5 nonempty clusters"),
+        (lambda: optimal_threshold_split(LINE, np.zeros(3)), "y must have one entry per point"),
+        (lambda: optimal_threshold_split(PointSet(np.zeros((2, 1))), np.zeros(1)), "need at least two points to split"),
+        (lambda: spectral_two_means(PointSet(np.zeros((2, 1)))), "need at least two points to split"),
+    ],
+    ids=["lloyd-init-count", "lloyd-init-k", "lloyd-init-name", "lloyd-k", "lloyd-n", "brute-k", "brute-n",
+         "scan-shape", "scan-n", "spectral-n"],
+)
+def test_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

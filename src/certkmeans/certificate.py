@@ -60,6 +60,9 @@ RHO_REL_TOLERANCE = 1e-10
 # u must be nonnegative by construction; dips below
 # -U_CLAMP_REL_TOLERANCE * (mean squared point norm) indicate a bug.
 U_CLAMP_REL_TOLERANCE = 1e-8
+# Columns per pass of apply_A's elementwise distance steps: at 64 KiB per
+# float64 vector, the four vectors a pass touches stay inside a 2 MiB L2 cache.
+_CHUNK = 8192
 
 
 class CertificateUndefinedError(ValueError):
@@ -240,27 +243,6 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     )
 
 
-def _project_off_blocks(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
-    """P x: subtract each cluster's mean from its block."""
-    sums = np.add.reduceat(x, ctx.offsets[:-1])
-    return x - np.repeat(sums / ctx.sizes, ctx.sizes)
-
-
-def _apply_distance(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
-    """D x with D = nu 1^T - 2 Phi^T Phi + 1 nu^T, in O(mN)."""
-    return ctx.sq_norms * x.sum() - 2.0 * (ctx.phi.T @ (ctx.phi @ x)) + float(ctx.sq_norms @ x)
-
-
-def _apply_offdiag_blocks(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
-    """B x using the rank-one blocks: (Bx)_a = sum_b u_(a,b) (u_(b,a)^T x_b) / rho."""
-    out = np.zeros_like(x)
-    for blk_a, terms in zip(ctx.blocks, ctx.terms):
-        seg = out[blk_a]
-        for u_ab, u_ba, blk_b, rho in terms:
-            seg += u_ab * (float(u_ba @ x[blk_b]) / rho)
-    return out
-
-
 def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
     """One O(kmN) application of A = (z/N) 11^T + P (B - D) P.
 
@@ -269,11 +251,39 @@ def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
     """
     ctx.require_defined()
     x = np.asarray(x, dtype=float)
-    if x.shape != (ctx.n_points,):
-        raise ValueError(f"expected a length-{ctx.n_points} vector, got shape {x.shape}")
-    y = _project_off_blocks(ctx, x)
-    w = _apply_offdiag_blocks(ctx, y) - _apply_distance(ctx, y)
-    return _project_off_blocks(ctx, w) + (ctx.z / ctx.n_points) * x.sum()
+    n = ctx.n_points
+    if x.shape != (n,):
+        raise ValueError(f"expected a length-{n} vector, got shape {x.shape}")
+    starts = ctx.offsets[:-1]
+    # y = P x: subtract each cluster's mean from its block
+    means = np.add.reduceat(x, starts) / ctx.sizes
+    y = np.empty_like(x)
+    for blk, mean in zip(ctx.blocks, means):
+        np.subtract(x[blk], mean, out=y[blk])
+    # w = B y from the rank-one blocks: (By)_a = sum_b u_(a,b) (u_(b,a)^T y_b) / rho.
+    # Each term is added onto zeros, never written with out=: 0.0 + (-0.0) is +0.0.
+    w = np.zeros_like(y)
+    for blk_a, terms in zip(ctx.blocks, ctx.terms):
+        seg = w[blk_a]
+        for u_ab, u_ba, blk_b, rho in terms:
+            seg += u_ab * (float(u_ba @ y[blk_b]) / rho)
+    # w -= D y with D = nu 1^T - 2 Phi^T Phi + 1 nu^T, in the operand order of
+    # (nu s - 2 Phi^T (Phi y)) + c.  The gemv runs at full length: on a column
+    # slice of phi, BLAS may round the slice's last rows differently.
+    s = y.sum()
+    c = float(ctx.sq_norms @ y)
+    t = ctx.phi.T @ (ctx.phi @ y)
+    for lo in range(0, n, _CHUNK):
+        hi = lo + _CHUNK
+        d = ctx.sq_norms[lo:hi] * s
+        t_c = t[lo:hi]
+        t_c *= 2.0
+        d -= t_c
+        d += c
+        w[lo:hi] -= d
+    w -= np.repeat(np.add.reduceat(w, starts) / ctx.sizes, ctx.sizes)
+    w += (ctx.z / n) * x.sum()
+    return w
 
 
 def _check_dense_size(ctx: CertificateContext, cap: int = 2000) -> None:

@@ -528,6 +528,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = _require(args.sizes, "--sizes")
+    if not sizes:
+        raise SystemExit("error: --sizes must list at least one size")
     k = args.clusters
     if k < 2:
         raise SystemExit(f"error: --clusters must be at least 2, got {k}")

@@ -250,14 +250,20 @@ def reference_lloyd(points, k, init="kmeans++", max_iter=100, seed=0):
 def reference_apply_A(ctx, x):
     """A x with the off-diagonal product formed the dict-based way: every
     dot u_(b,a)^T x_b into a dict first, then one accumulator per block,
-    summed in ascending b and copied into the output.  Same arithmetic as
-    the library's per-block plan, so apply_A must match it bit for bit."""
-    from certkmeans.certificate import _apply_distance, _project_off_blocks
+    summed in ascending b and copied into the output, and every other step
+    as one whole-vector expression.  Same arithmetic as the library's
+    per-block plan and chunked passes, so apply_A must match it bit for bit."""
+
+    def project(v):
+        return v - np.repeat(np.add.reduceat(v, ctx.offsets[:-1]) / ctx.sizes, ctx.sizes)
+
+    def distance(v):
+        return ctx.sq_norms * v.sum() - 2.0 * (ctx.phi.T @ (ctx.phi @ v)) + float(ctx.sq_norms @ v)
 
     k = ctx.n_clusters
     blocks = [slice(int(ctx.offsets[a]), int(ctx.offsets[a + 1])) for a in range(k)]
     x = np.asarray(x, dtype=float)
-    y = _project_off_blocks(ctx, x)
+    y = project(x)
     dots = {(b, a): float(ctx.u[(b, a)] @ y[blocks[b]]) for a in range(k) for b in range(k) if a != b}
     off = np.zeros_like(y)
     for a in range(k):
@@ -266,7 +272,7 @@ def reference_apply_A(ctx, x):
             if b != a:
                 acc += ctx.u[(a, b)] * (dots[(b, a)] / ctx.rho[(min(a, b), max(a, b))])
         off[blocks[a]] = acc
-    return _project_off_blocks(ctx, off - _apply_distance(ctx, y)) + (ctx.z / ctx.n_points) * x.sum()
+    return project(off - distance(y)) + (ctx.z / ctx.n_points) * x.sum()
 
 
 def reference_optimal_threshold_split(points, y):

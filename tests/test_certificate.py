@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -28,7 +29,7 @@ from certkmeans.certificate import (
     diagnostics_csv,
     recover_alpha,
 )
-from certkmeans.detector import default_epsilon
+from certkmeans.detector import DetectorOutcome, default_epsilon, power_iteration_detect
 from certkmeans.model import (
     Partition,
     PointSet,
@@ -218,7 +219,13 @@ class TestOperator:
 
 
 PLAN_SIZES = {"sizes1-6-9": (1, 6, 9), "sizes1-2-13": (1, 2, 13), "sizes5-1-2-11": (5, 1, 2, 11),
-              "sizes3-17": (3, 17), "sizes1-40": (1, 40)}
+              "sizes3-17": (3, 17), "sizes1-40": (1, 40),
+              # apply_A streams through 8192-column chunks: N one below, at and
+              # one above a chunk, two chunks and a 3-column tail, block
+              # boundaries inside a chunk, a singleton, k = 10 with unequal sizes
+              "n8191": (4000, 4191), "n8192": (3000, 5192), "n8193": (8190, 3),
+              "n16387-cut5000": (5000, 11387), "n16387-cut10000": (10000, 6387),
+              "n8193-singleton": (1, 8192), "n8209-k10": (1, 300, 2000, 777, 1500, 95, 1234, 900, 2, 1400)}
 PLAN_CASES = [f"k{k}" for k in range(2, 11)] + sorted(PLAN_SIZES) + ["duplicated", "shift1e4"]
 
 
@@ -249,11 +256,46 @@ class TestOperatorPlan:
         ctx = plan_instance(name)
         rng = np.random.default_rng(len(name))
         n = ctx.n_points
-        for x in [np.ones(n), np.arange(n), rng.standard_normal(n), rng.standard_normal(n) * 1e6]:
+
+        def same_bytes(x):
             got = apply_A(ctx, x)
             ref = reference_apply_A(ctx, x)
             assert np.array_equal(got, ref)
             assert got.tobytes() == ref.tobytes()
+            return ref
+
+        for x in [np.ones(n), np.arange(n), np.full(n, 1.0 / math.sqrt(n))]:
+            same_bytes(x)
+        for scale in (1.0, 1e6, 1e-8, 1e8):
+            same_bytes(rng.standard_normal(n) * scale)
+        # 20 steps along a power iteration
+        x = rng.standard_normal(n)
+        for _ in range(20):
+            x = same_bytes(x)
+            x /= np.linalg.norm(x)
+
+    @pytest.mark.parametrize(
+        "k, m, per_ball, delta, seed, n_keep, decision",
+        [
+            # N points drawn at random from the sample, so sizes differ:
+            # N = 2 * 8192 + 3 (235 and 18 iterations), then k = 10 and N = 8500
+            (2, 6, 8194, 2.2, 1, 16387, CertifyDecision.CERTIFIED_OPTIMAL),
+            (2, 6, 8194, 2.2, 2, 16387, CertifyDecision.NOT_CERTIFIED),
+            (10, 10, 1000, 3.0, 0, 8500, CertifyDecision.CERTIFIED_OPTIMAL),
+        ],
+        ids=["k2-certified", "k2-not-certified", "k10-certified"],
+    )
+    def test_detector_path_bit_identical_to_dict_reference(self, k, m, per_ball, delta, seed, n_keep, decision):
+        ds = ball_dataset(seed=seed, k=k, m=m, n=per_ball, delta=delta)
+        keep = np.sort(np.random.default_rng(seed).choice(ds.points.count, n_keep, replace=False))
+        points, part = PointSet(ds.points.columns[:, keep]), Partition(ds.planted.labels[keep])
+        got = certify_partition(points, part, seed=seed)
+        assert got.decision is decision
+        ctx = build_certificate_context(points, part)
+        v = np.full(n_keep, 1.0 / math.sqrt(n_keep))
+        ref = power_iteration_detect(lambda x: reference_apply_A(ctx, x), v, default_epsilon(n_keep), seed)
+        for field in dataclasses.fields(DetectorOutcome):
+            assert repr(getattr(got.detector, field.name)) == repr(getattr(ref, field.name)), field.name
 
     @pytest.mark.parametrize("name", PLAN_CASES)
     def test_plan_matches_offsets_and_shares_u(self, name):

@@ -401,6 +401,8 @@ class TestCommandLine:
             (["generate", "--dim", "0", "--out", str(tmp_path / "x.csv")], "need m >= 1"),
             (["bench", "--sizes", "64", "--clusters", "0"], "--clusters must be at least 2"),
             # every size and --repeats are checked before the header is printed
+            (["bench", "--sizes", ""], "--sizes must list at least one size"),
+            (["bench", "--sizes", ","], "--sizes must list at least one size"),
             (["bench", "--sizes", "0"], "size 0 is not a positive multiple of k=2"),
             (["bench", "--sizes", "64,-4"], "size -4 is not a positive multiple of k=2"),
             (["bench", "--sizes", "64,65"], "size 65 is not a positive multiple of k=2"),

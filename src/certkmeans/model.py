@@ -290,10 +290,17 @@ def kmeans_objective(points: PointSet, partition: Partition) -> float:
     cols = points.columns
     total = 0.0
     for a in range(partition.k):
-        block = cols[:, partition.labels == a]
-        block -= block.mean(axis=1)[:, None]
-        total += float(np.einsum("ij,ij->", block, block))
+        total += _scatter(cols[:, partition.labels == a])
     return total
+
+
+def _scatter(block: np.ndarray) -> float:
+    """Sum of squared distances of the columns of the fresh m x n_a gather
+    ``block`` to their mean, centring it in place.  A row gather
+    ``rows[mask].T`` has the memory image of the column gather
+    ``cols[:, mask]`` (F-ordered), so it gives the same bits."""
+    block -= block.mean(axis=1)[:, None]
+    return float(np.einsum("ij,ij->", block, block))
 
 
 def pairwise_sq_distances(columns: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import Partition, PointSet, kmeans_objective, partition_from_labels
+from .model import Partition, PointSet, _scatter, kmeans_objective, partition_from_labels
 
 __all__ = [
     "SolveResult",
@@ -37,6 +37,11 @@ EIG_TOL = 1e-8
 EIG_MAX_ITER = 10_000
 # Lloyd stops once the centroids stop moving, or after LLOYD_MAX_ITER updates
 LLOYD_MAX_ITER = 100
+# Lloyd keeps Hamerly bounds for at least HAMERLY_MIN_POINTS points with
+# k * m >= HAMERLY_MIN_WORK; below either, the O(N) bound upkeep of about ten
+# vector passes per update costs more than the distance columns it saves
+HAMERLY_MIN_POINTS = 2048
+HAMERLY_MIN_WORK = 256
 # exhaustive search refuses inputs with more k-block partitions than this
 PARTITION_CAP = 10_000_000
 
@@ -113,11 +118,18 @@ def _centroids(
     return new_centers
 
 
-def _assign(cols: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared distance of every point to every center, built in place as
+def _assign(
+    cols: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # labels and the k x n squared distances, built in place as
     # (-2 G + |c|^2) + |x|^2, which is c2 - 2 G + |x|^2 bit for bit; ties go to
     # the lower cluster index, as with argmin, by writing the labels from high
-    # to low
+    # to low.  Every column subset of width >= 2 gets the bits of the full
+    # product, but a one-column product takes the gemv path and rounds
+    # differently, so a single column is computed twice over
+    if cols.shape[1] == 1:
+        labels, d2 = _assign(np.repeat(cols, 2, axis=1), np.repeat(sq_norms, 2), centers)
+        return labels[:1], d2[:, :1]
     d2 = centers.T @ cols
     d2 *= -2.0
     d2 += (centers * centers).sum(axis=0)[:, None]
@@ -125,10 +137,106 @@ def _assign(cols: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.n
     low = d2.min(axis=0)
     if np.isnan(low).any():
         # no entry equals a NaN minimum; argmin reports its first position
-        return np.argmin(d2, axis=0).astype(np.int64)
+        return np.argmin(d2, axis=0).astype(np.int64), d2
     labels = np.zeros(d2.shape[1], dtype=np.int64)
     for a in range(d2.shape[0] - 1, -1, -1):
         np.copyto(labels, a, where=d2[a] == low)
+    return labels, d2
+
+
+def _allowance_radius(m: int, x2_max: float, centers: np.ndarray) -> float:
+    # a computed squared distance (-2 G + |c|^2) + |x|^2 is within
+    # (2m + 5) u (|x|^2 + |c|^2) of the exact one, u = 2^-53: gamma_m for each
+    # of G, |c|^2 and |x|^2, and one rounding per sum.  The allowance
+    # (m + 4) 2^-51 (max |x|^2 + max |c|^2) is about twice that; the spare half
+    # covers the rounding of the bounds themselves, O((m + updates) u) relative
+    # to distances of at most 3 sqrt(|x|^2 + |c|^2).  Returns its square root,
+    # the slack each bound keeps in distance units, or inf near the float64
+    # range: below 2^1020, every squared distance (at most 3 scale) and
+    # squared centre move (at most 2 scale before + 2 scale after) is finite
+    scale = x2_max + float(np.einsum("ij,ij->j", centers, centers).max())
+    if not scale < 2.0**1020:
+        return math.inf
+    return math.sqrt((m + 4) * 2.0**-51 * scale)
+
+
+def _hamerly_bounds(
+    d2: np.ndarray, labels: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on exact distances from the computed squared distances ``d2``
+    (overwritten): each point is at most ``upper`` from its own centre and at
+    least ``lower`` from every other."""
+    span = np.arange(labels.size)
+    upper = d2[labels, span]
+    d2[labels, span] = np.inf
+    del span  # freed before lower is allocated: one N-vector above _assign's peak
+    lower = d2.min(axis=0)
+    for bound in (upper, lower):
+        np.maximum(bound, 0.0, out=bound)
+        np.sqrt(bound, out=bound)
+    upper += radius
+    lower -= radius
+    return upper, lower
+
+
+def _unsettled(
+    centers: np.ndarray, labels: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], radius: float
+) -> np.ndarray:
+    """Indices of the points whose bounds cannot prove that their label stays.
+
+    Every other centre is at least max(lower, 2 s(a) - upper) from a point of
+    cluster a, where s(a) is half the distance from centre a to its nearest
+    other centre.  The computed squared distances are within radius^2 of the
+    exact ones, so a point whose nearest other centre is more than 2 radius
+    farther than its own has its label as the unique strict minimum of its
+    computed column.
+    """
+    upper, lower = bounds
+    # k x k x m differences: direct, since the expanded form's rounding is
+    # the size of the allowance
+    step = centers[:, :, None] - centers[:, None, :]
+    between = np.einsum("ijk,ijk->jk", step, step)
+    np.fill_diagonal(between, np.inf)
+    margin = np.sqrt(between.min(axis=0))[labels]
+    margin -= upper
+    np.maximum(margin, lower, out=margin)
+    margin -= upper
+    return np.flatnonzero(margin <= 2.0 * radius)
+
+
+def _loosen(
+    bounds: tuple[np.ndarray, np.ndarray], labels: np.ndarray, centers: np.ndarray, new_centers: np.ndarray
+) -> None:
+    """Widen the bounds in place by how far the centres moved: each upper
+    bound by its own centre's move, every lower bound by the largest move."""
+    step = new_centers - centers
+    moved = np.sqrt(np.einsum("ij,ij->j", step, step))
+    upper, lower = bounds
+    upper += moved[labels]
+    lower -= moved.max()
+
+
+def _reassign(
+    rows: np.ndarray,
+    sq_norms: np.ndarray,
+    centers: np.ndarray,
+    labels: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    radius: float,
+    unsettled: np.ndarray,
+) -> np.ndarray:
+    """New labels with the unsettled points' columns computed by _assign, and
+    their bounds refreshed in place.  The gathers go in chunks whose rows and
+    distances take at most half the room of the full k x N distances, so
+    memory stays below a full update's."""
+    m, k = centers.shape
+    chunk = max(64, k * labels.size // (2 * (m + k)))
+    labels = labels.copy()
+    for lo in range(0, unsettled.size, chunk):
+        idx = unsettled[lo : lo + chunk]
+        fresh, d2 = _assign(rows[idx].T, sq_norms[idx], centers)
+        labels[idx] = fresh
+        bounds[0][idx], bounds[1][idx] = _hamerly_bounds(d2, fresh, radius)
     return labels
 
 
@@ -195,6 +303,20 @@ def lloyd(
     centroids seed the iteration.  Empty clusters are repaired by
     re-seeding with the point farthest from its current centroid, which
     never increases the objective.
+
+    From the second update on, each point keeps Hamerly bounds: an upper
+    bound on its distance to its own centre and a lower bound on its
+    distance to every other centre, loosened by how far the centres move.
+    An update then costs O(N) of bound upkeep plus full distance columns
+    only for the points whose bounds, less a rounding allowance, cannot
+    prove that their label stays; those columns are gathered and computed
+    as in the full product, with a single column computed twice over
+    (a one-column product takes the gemv path and rounds differently).
+    The labels are therefore those of computing every column.  Every column
+    is computed on the first update, after a repair, when the allowance is
+    not finite (data near the float64 range), when over half the points are
+    unsettled, and always for k = 1, below HAMERLY_MIN_POINTS points, or with
+    k m below HAMERLY_MIN_WORK.
     """
     cols = points.columns
     n = points.count
@@ -214,17 +336,43 @@ def lloyd(
     else:
         raise ValueError(f"unknown init {init!r}")
 
+    # Hamerly bounds on each point's distances, kept from the second update on
+    keep_bounds = k > 1 and n >= HAMERLY_MIN_POINTS and k * points.dim >= HAMERLY_MIN_WORK
+    x2_max = float(sq_norms.max())
+    bounds = None
     for iterations in range(1, LLOYD_MAX_ITER + 1):
         previous = labels
-        labels = _assign(cols, sq_norms, centers)
+        radius = _allowance_radius(points.dim, x2_max, centers) if keep_bounds else math.inf
+        unsettled = None
+        if bounds is not None and math.isfinite(radius):
+            unsettled = _unsettled(centers, labels, bounds, radius)
+        # every column on the first update, after a repair, when the allowance
+        # is not finite, and past half the points, where the full product
+        # costs less than the gather
+        if unsettled is None or 2 * unsettled.size > n:
+            bounds = None  # freed before the k x N distances
+            labels, d2 = _assign(cols, sq_norms, centers)
+            if math.isfinite(radius):
+                bounds = _hamerly_bounds(d2, labels, radius)
+            del d2
+        elif unsettled.size:
+            labels = _reassign(rows, sq_norms, centers, labels, bounds, radius, unsettled)
         if (np.bincount(labels, minlength=k) == 0).any():
             labels = _repair_empty(cols, labels, centers, k)
+            bounds = None
         new_centers = _centroids(rows, labels, k, centers, previous)
         if np.array_equal(new_centers, centers):
             break
+        if bounds is not None:
+            _loosen(bounds, labels, centers, new_centers)
         centers = new_centers
+    del bounds, unsettled  # freed before the objective's gathers
     partition = partition_from_labels(labels)
-    return SolveResult(partition, kmeans_objective(points, partition), iterations, "lloyd")
+    # kmeans_objective's arithmetic on contiguous row gathers
+    objective = 0.0
+    for a in range(k):
+        objective += _scatter(rows[partition.labels == a].T)
+    return SolveResult(partition, objective, iterations, "lloyd")
 
 
 def leading_eigenvector(matvec: Callable[[np.ndarray], np.ndarray], n: int, *, seed: int = 0) -> EigenResult:

@@ -23,6 +23,7 @@ from certkmeans.model import (
     TWO_POINT_SYM,
     UNIFORM_BALL,
     UNIFORM_SPHERE,
+    _scatter,
     kmeans_objective,
     pairwise_sq_distances,
     partition_from_labels,
@@ -333,6 +334,28 @@ class TestObjective:
             pts, part = PointSet(cols), partition_from_labels(labels)
             assert repr(kmeans_objective(pts, part)) == repr(reference_kmeans_objective(pts, part))
 
+
+    def test_row_gathers_bit_identical_to_reference(self):
+        # Lloyd sums the objective over contiguous row gathers rows[mask].T,
+        # the memory image of the column gathers: same bits, singletons and
+        # data shifted by 1e6 included
+        rng = np.random.default_rng(44)
+        for trial in range(30):
+            k = int(rng.integers(1, 12))
+            m = int(rng.integers(1, 60))
+            n = int(rng.integers(k, 400))
+            cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0) + (1e6 if trial % 2 else 0.0)
+            labels = rng.integers(k, size=n)
+            labels[: k] = np.arange(k)
+            single = min(3, k - 1)
+            labels[k:][labels[k:] < single] = k - 1  # clusters below ``single`` are singletons
+            labels = labels[rng.permutation(n)]
+            pts, part = PointSet(cols), partition_from_labels(labels)
+            rows = np.ascontiguousarray(cols.T)
+            got = 0.0
+            for a in range(part.k):
+                got += _scatter(rows[part.labels == a].T)
+            assert repr(got) == repr(reference_kmeans_objective(pts, part))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="partition does not match point count"):

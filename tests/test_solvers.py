@@ -16,11 +16,14 @@ from conftest import (
 )
 from certkmeans import solvers
 from certkmeans.model import (
+    BallModelConfig,
     PointSet,
     kmeans_objective,
     pairwise_sq_distances,
     partition_from_labels,
     partitions_equal,
+    sample_stochastic_ball_model,
+    standard_centers,
 )
 from certkmeans.solvers import (
     exact_kmeans_bruteforce,
@@ -99,13 +102,13 @@ class TestLloyd:
             for labels in (np.sort(np.arange(n) % k), rng.permutation(np.arange(n) % k)):
                 centers = solvers._centroids(rows, labels, k)
                 assert np.array_equal(centers, reference_centroids(rows, labels, k))
-                got = solvers._assign(cols, sq_norms, centers)
+                got, _ = solvers._assign(cols, sq_norms, centers)
                 assert np.array_equal(got, reference_assign(cols, sq_norms, centers))
                 # midpoints of center pairs: near-ties that the rounding decides
                 pairs = mid_rng.integers(k, size=(2, 200))
                 mid = 0.5 * (centers[:, pairs[0]] + centers[:, pairs[1]])
                 mid_sq = np.einsum("ij,ij->j", mid, mid)
-                got = solvers._assign(mid, mid_sq, centers)
+                got, _ = solvers._assign(mid, mid_sq, centers)
                 assert np.array_equal(got, reference_assign(mid, mid_sq, centers))
         # whole Lloyd runs; 3 distinct points and k = 5 force empty-cluster repair
         ds = ball_dataset(seed=9, k=3, m=4, n=40, delta=2.0)
@@ -194,6 +197,201 @@ class TestLloyd:
         ds = ball_dataset(seed=8, k=2, m=2, n=30, delta=6.0)
         res = lloyd(ds.points, 2, seed=5)
         assert partitions_equal(res.partition, ds.planted)
+
+
+def assert_lloyd_matches_reference(pts, k, **kw):
+    got = lloyd(pts, k, **kw)
+    want = reference_lloyd(pts, k, **kw)
+    assert np.array_equal(got.partition.labels, want.partition.labels)
+    assert got.objective == want.objective
+    assert got.iterations == want.iterations
+    return got
+
+
+def ball_points(k, m, per_ball, delta, seed):
+    config = BallModelConfig(centers=standard_centers(k, m, delta), per_ball=per_ball, seed=seed)
+    return sample_stochastic_ball_model(config).points
+
+
+def line_groups(m, groups):
+    """Points (x, +-4, 0, ...) in pairs, one group per (x, count)."""
+    cols = []
+    for x, count in groups:
+        block = np.zeros((m, count))
+        block[0] = x
+        block[1] = np.tile([4.0, -4.0], count // 2)
+        cols.append(block)
+    return np.concatenate(cols, axis=1)
+
+
+@pytest.fixture
+def bound_steps(monkeypatch):
+    """The index arrays _unsettled returns and "repair" for each repair, in
+    call order."""
+    steps = []
+    unsettled, repair = solvers._unsettled, solvers._repair_empty
+
+    def counting_unsettled(*args):
+        idx = unsettled(*args)
+        steps.append(idx)
+        return idx
+
+    def counting_repair(*args):
+        steps.append("repair")
+        return repair(*args)
+
+    monkeypatch.setattr(solvers, "_unsettled", counting_unsettled)
+    monkeypatch.setattr(solvers, "_repair_empty", counting_repair)
+    return steps
+
+
+class TestHamerlyBounds:
+    """From the second update on, Lloyd recomputes only the columns its
+    bounds cannot settle; every run must match reference_lloyd, which
+    computes every column on every update, bit for bit."""
+
+    def test_assign_on_column_subsets_matches_full_columns(self):
+        # a one-column product takes the gemv path and rounds differently,
+        # so _assign computes a single column twice over
+        rng = np.random.default_rng(50)
+        for m in (3, 6, 20, 50):
+            for k in (2, 5, 10):
+                n = 600
+                cols = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0) + rng.choice([0.0, 1e3])
+                rows = np.ascontiguousarray(cols.T)
+                sq_norms = np.einsum("ij,ij->j", cols, cols)
+                centers = cols[:, rng.choice(n, k, replace=False)] + 0.1 * rng.standard_normal((m, k))
+                labels, d2 = solvers._assign(cols, sq_norms, centers)
+                for width in (1, 2, 3, 4, 7):
+                    idx = np.sort(rng.choice(n, width, replace=False))
+                    for sub in (rows[idx].T, cols[:, idx]):
+                        got_labels, got_d2 = solvers._assign(sub, sq_norms[idx], centers)
+                        assert got_d2.tobytes() == d2[:, idx].tobytes()
+                        assert np.array_equal(got_labels, labels[idx])
+
+    @pytest.mark.parametrize("seed", [5, 24])
+    def test_stuck_runs(self, seed, bound_steps):
+        # the many-clusters shape (k = 10, m = 50, delta = 5) at N = 5000
+        res = assert_lloyd_matches_reference(ball_points(10, 50, 500, 5.0, seed), 10, seed=seed)
+        assert res.iterations >= 20
+        assert len(bound_steps) == res.iterations - 1
+        assert min(idx.size for idx in bound_steps) < 500  # most points settled
+
+    def test_points_on_a_bisector(self, bound_steps):
+        # k = 8 clusters in m = 32 of pairs c_a +- y with dyadic entries, so
+        # every centroid and squared distance is exact.  Centres 2j and 2j + 1
+        # are 8 apart along e_0; each point (c_2j + c_2j+1) / 2 + w with
+        # w_0 = 0 is equidistant from them, so the tie puts it in cluster 2j
+        # beside its mirror image 2 c_2j - p.  One pair of cluster 7 starts in
+        # cluster 6, pulling centre 6 towards centre 7; the pair returns in the
+        # first update, and the second, bounded, update sees the exact ties
+        rng = np.random.default_rng(51)
+        k, m = 8, 32
+        centers = np.zeros((m, k))
+        for a in range(k):
+            centers[0, a] = 8.0 * (a % 2)
+            centers[1 + a // 2, a] = 40.0
+        blocks = []
+        for a in range(k):
+            y = rng.integers(-2, 3, size=(m, 130)) / 2.0
+            blocks += [centers[:, [a]] + y, centers[:, [a]] - y]
+        for a in range(0, k, 2):
+            w = rng.integers(-2, 3, size=(m, 10)) / 2.0
+            w[0] = 0.0
+            p = 0.5 * (centers[:, [a]] + centers[:, [a + 1]]) + w
+            blocks += [p, 2.0 * centers[:, [a]] - p]
+        cols = np.concatenate(blocks, axis=1)
+        labels = np.concatenate([np.full(260, a) for a in range(k)] + [np.full(20, a) for a in range(0, k, 2)])
+        init = labels.copy()
+        init[[7 * 260, 7 * 260 + 130]] = 6
+        res = assert_lloyd_matches_reference(PointSet(cols), k, init=partition_from_labels(init))
+        assert res.iterations == 2 and len(bound_steps) == 1
+        assert np.array_equal(res.partition.labels, labels)
+        # the bounds leave every bisector point to the computed columns
+        bisector = 260 * k + np.arange(80).reshape(4, 20)[:, :10].ravel()
+        assert np.isin(bisector, bound_steps[0]).all()
+        # the bisector points tie exactly at the final centres
+        on_bisector = cols[:, 260 * k :].reshape(m, 4, 20)[:, :, :10]
+        for j in range(4):
+            d2 = ((on_bisector[:, j, :, None] - centers[:, None, 2 * j : 2 * j + 2]) ** 2).sum(axis=0)
+            assert np.array_equal(d2[:, 0], d2[:, 1])
+
+    def test_repair_after_a_bounded_update(self, bound_steps):
+        # cluster 0 starts as {(-8, 0), (8, 0)}; clusters 1 and 2 start pulled
+        # out to x = -+20 by the groups at -+28, which the first update hands
+        # to clusters 3 and 4.  In the second, bounded, update both points of
+        # cluster 0 join the groups at -+12, and the repair re-seeds it
+        m = 64
+        pair = np.zeros((m, 2))
+        pair[0] = [-8.0, 8.0]
+        groups = [(-12.0, 384), (12.0, 384), (-28.0, 384), (28.0, 384), (-32.0, 1024), (32.0, 1024)]
+        cols = np.concatenate((pair, line_groups(m, groups)), axis=1)
+        init = np.concatenate(([0, 0], np.repeat([1, 2, 1, 2, 3, 4], [384, 384, 384, 384, 1024, 1024])))
+        assert_lloyd_matches_reference(PointSet(cols), 5, init=partition_from_labels(init))
+        assert isinstance(bound_steps[0], np.ndarray) and bound_steps[1] == "repair"
+        # 3 distinct points and k = 5: a repair on every update, so the bounds
+        # are dropped each time and never used
+        bound_steps.clear()
+        rng = np.random.default_rng(52)
+        dup = PointSet(np.repeat(rng.standard_normal((64, 3)), 700, axis=1) + 1e4)
+        assert_lloyd_matches_reference(dup, 5, seed=1)
+        assert set(bound_steps) == {"repair"}
+
+    def test_grid_with_exact_ties(self, bound_steps):
+        rng = np.random.default_rng(53)
+        grid = PointSet(np.round(rng.standard_normal((2, 4096)) * 2.0))
+        for seed in range(4):
+            assert_lloyd_matches_reference(grid, 128, seed=seed)
+        assert bound_steps
+
+    @pytest.mark.parametrize("shift", [1e6, 1e8])
+    def test_shifted_data_turns_pruning_off(self, shift, bound_steps):
+        # the rounding of the expanded distances outgrows the gaps between
+        # them, so the allowance settles no point
+        cols = ball_points(10, 50, 500, 5.0, 5).columns + shift
+        assert_lloyd_matches_reference(PointSet(cols), 10, seed=5)
+        sizes = [idx.size for idx in bound_steps if not isinstance(idx, str)]
+        assert sizes and all(size == 5000 for size in sizes)
+
+    @pytest.mark.parametrize("scale, bounded", [(1e150, True), (1e153, False)])
+    def test_data_near_the_float64_range(self, scale, bound_steps, bounded):
+        # at 1e150 the squared norms stay below 2^1020 and the bounds are
+        # kept; at 1e153 a squared distance could overflow, so every update
+        # is full (D^2 seeding overflows there, so the runs start from
+        # a partition)
+        cols = ball_points(10, 50, 300, 5.0, 24).columns * scale
+        init = partition_from_labels(np.random.default_rng(56).permutation(np.arange(3000) % 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_lloyd_matches_reference(PointSet(cols), 10, init=init)
+        assert any(isinstance(idx, np.ndarray) for idx in bound_steps) == bounded
+
+    def test_non_finite_distances_drop_the_bounds(self, bound_steps):
+        # |c|^2 overflows, so the allowance is infinite and every update is
+        # full; one cluster empties on the way
+        rng = np.random.default_rng(54)
+        huge = PointSet(np.concatenate((rng.standard_normal((32, 1500)), 1e200 * (1.0 + rng.random((32, 1500)))), axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_lloyd_matches_reference(huge, 8, init=partition_from_labels(np.arange(3000) % 8))
+        assert bound_steps == ["repair"]
+
+    @pytest.mark.parametrize(
+        "n, k, m, bounded",
+        [
+            (solvers.HAMERLY_MIN_POINTS - 1, 8, 32, False),
+            (solvers.HAMERLY_MIN_POINTS, 8, 32, True),
+            (solvers.HAMERLY_MIN_POINTS + 1, 8, 32, True),
+            (solvers.HAMERLY_MIN_POINTS + 1, 5, 51, False),  # k m = 255
+            (solvers.HAMERLY_MIN_POINTS + 1, 4, 64, True),  # k m = 256
+        ],
+    )
+    def test_cutoff(self, n, k, m, bounded, bound_steps):
+        assert solvers.HAMERLY_MIN_WORK == 256
+        cols = ball_points(k, m, n // k + 1, 2.0, 55).columns[:, :n]
+        for seed in range(3):
+            res = assert_lloyd_matches_reference(PointSet(cols), k, seed=seed)
+        assert bool(bound_steps) == bounded
+        if bounded:
+            assert res.iterations >= 2
 
 
 class TestLeadingEigenvector:

@@ -31,9 +31,6 @@ from .certificate import (
     apply_A,
     build_certificate_context,
     certify_partition,
-    corollary_check,
-    diagnostics_csv,
-    recover_alpha,
 )
 from .detector import (
     DetectorDecision,

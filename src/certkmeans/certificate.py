@@ -25,7 +25,6 @@ back to the caller's point indices.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,10 +47,7 @@ __all__ = [
     "dense_M",
     "dense_projection",
     "dense_certificate_gap",
-    "corollary_check",
-    "recover_alpha",
     "certify_partition",
-    "diagnostics_csv",
 ]
 
 # rho at or below RHO_REL_TOLERANCE * N * (mean squared point norm) makes the
@@ -104,7 +100,6 @@ class CertificateContext:
     z: float
     u: dict[tuple[int, int], np.ndarray]
     rho: dict[tuple[int, int], float]
-    min_u: dict[tuple[int, int], float]
     scale: float
     undefined_pairs: tuple[tuple[int, int], ...]
     blocks: tuple[slice, ...]
@@ -113,10 +108,6 @@ class CertificateContext:
     @property
     def n_points(self) -> int:
         return self.phi.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[0]
 
     @property
     def n_clusters(self) -> int:
@@ -199,11 +190,9 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
 
     # u is built inside the row-sum buffers
     u: dict[tuple[int, int], np.ndarray] = {}
-    min_u: dict[tuple[int, int], float] = {}
     for (a, b), ms in row_sums.items():
         ms -= z * (sizes[a] + sizes[b]) / (2.0 * sizes[a])
         low = float(ms.min())
-        min_u[(a, b)] = low
         if low < -U_CLAMP_REL_TOLERANCE * max(scale, 1e-300):
             raise ArithmeticError(
                 f"construction produced u with negative entry {low:.3e} for pair {(a, b)}"
@@ -235,7 +224,6 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
         z=float(z),
         u=u,
         rho=rho,
-        min_u=min_u,
         scale=scale,
         undefined_pairs=tuple(undefined),
         blocks=blocks,
@@ -344,52 +332,6 @@ def dense_certificate_gap(ctx: CertificateContext) -> float:
     return ctx.z - float(np.linalg.eigvalsh(restricted).max())
 
 
-def corollary_check(points: PointSet, partition: Partition) -> tuple[bool, float, float]:
-    """Explicit sufficient test for certificate validity.
-
-    Computes
-
-        lhs = 2 ||Psi||^2 + sum_{a<b} ||P_1perp u_(a,b)|| ||P_1perp u_(b,a)|| / rho_(a,b)
-
-    where Psi is the cluster-centered m x N point matrix, and compares it
-    against z.  ``lhs <= z`` implies the operator condition behind the
-    certificate (the converse need not hold).  ||Psi||^2 is the largest
-    eigenvalue of the m x m Gram matrix Psi Psi^T, computed exactly.
-
-    Returns:
-        (holds, lhs, z)
-    """
-    ctx = build_certificate_context(points, partition)
-    ctx.require_defined()
-    centered = np.empty_like(ctx.phi)
-    for a in range(ctx.n_clusters):
-        blk = ctx.block(a)
-        centered[:, blk] = ctx.phi[:, blk] - ctx.phi[:, blk].mean(axis=1)[:, None]
-    lhs = 2.0 * max(float(np.linalg.eigvalsh(centered @ centered.T)[-1]), 0.0)
-    for a in range(ctx.n_clusters):
-        for b in range(a + 1, ctx.n_clusters):
-            u_ab = ctx.u[(a, b)]
-            u_ba = ctx.u[(b, a)]
-            norm_ab = float(np.linalg.norm(u_ab - u_ab.mean()))
-            norm_ba = float(np.linalg.norm(u_ba - u_ba.mean()))
-            lhs += norm_ab * norm_ba / ctx.rho_of(a, b)
-    return lhs <= ctx.z, lhs, ctx.z
-
-
-def recover_alpha(ctx: CertificateContext) -> np.ndarray:
-    """The per-point dual coefficients, in the caller's point order.
-
-    alpha_{a,r} = -z/n_a + (1/n_a^2) 1^T D^(a,a) 1 - (2/n_a) e_r^T D^(a,a) 1,
-    which equals -z/n_a + 2 mu_{a,r}.
-    """
-    parts = []
-    for a in range(ctx.n_clusters):
-        parts.append(-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a])
-    alpha = np.empty(ctx.n_points)
-    alpha[ctx.perm] = np.concatenate(parts)
-    return alpha
-
-
 @dataclass(frozen=True)
 class CertifyOutcome:
     """Result of the optimality certification pipeline.
@@ -450,20 +392,3 @@ def certify_partition(
     outcome = power_iteration_detect(lambda x: apply_A(ctx, x), v, epsilon, seed)
     return CertifyOutcome(_DETECTOR_TO_CERTIFY[outcome.decision], ctx.z, outcome, confidence_bound, epsilon)
 
-
-def diagnostics_csv(ctx: CertificateContext) -> str:
-    """Dump per-pair certificate diagnostics as CSV text.
-
-    Two sections: a scalar row (z, N, k) and one row per ordered cluster
-    pair with its rho and the minimum entry of u before clamping.
-    """
-    buf = io.StringIO()
-    buf.write("z,N,k\n")
-    buf.write(f"{ctx.z!r},{ctx.n_points},{ctx.n_clusters}\n")
-    buf.write("pair_a,pair_b,rho,min_u\n")
-    for a in range(ctx.n_clusters):
-        for b in range(ctx.n_clusters):
-            if a == b:
-                continue
-            buf.write(f"{a},{b},{ctx.rho_of(a, b)!r},{ctx.min_u[(a, b)]!r}\n")
-    return buf.getvalue()

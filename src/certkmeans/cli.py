@@ -2,8 +2,9 @@
 
 Subcommands: ``generate`` (sample a dataset to CSV), ``solve`` (run one
 solver on a dataset), ``certify`` (test a partition for certified
-optimality), ``sweep`` (grids over delta/k/m/n with per-trial CSV rows and
-per-cell aggregates), and ``bench`` (certification wall-time across sizes).
+optimality) and ``sweep`` (grids over delta/k/m/n with per-trial CSV rows
+and per-cell aggregates; ``--solver planted --certify`` times certification
+across a ``--per-ball`` list).
 
 Every trial draws its randomness from a single 64-bit trial seed.  Within
 a sweep, trial seeds follow base_seed + (trial_index + 1) * GAMMA mod 2^64
@@ -526,34 +527,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _require(args.sizes, "--sizes")
-    if not sizes:
-        raise SystemExit("error: --sizes must list at least one size")
-    k = args.clusters
-    if k < 2:
-        raise SystemExit(f"error: --clusters must be at least 2, got {k}")
-    for total in sizes:
-        if total < 1 or total % k:
-            raise SystemExit(f"error: size {total} is not a positive multiple of k={k}")
-    if args.repeats < 1:
-        raise SystemExit(f"error: --repeats must be at least 1, got {args.repeats}")
-    print("n_points,wall_ms,decision")
-    for total in sizes:
-        config = _build_ball_config(args.dim, k, total // k, args.delta, UNIFORM_BALL, args.seed)
-        streams = derive_streams(args.seed)
-        dataset = sample_stochastic_ball_model(replace(config, seed=streams.sample))
-        best = math.inf
-        decision = ""
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            outcome = certify_partition(dataset.points, dataset.planted, seed=streams.detector)
-            best = min(best, (time.perf_counter() - start) * 1000.0)
-            decision = outcome.decision.value
-        print(f"{total},{best!r},{decision}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``certkmeans`` parser; built-in defaults live in ``add_argument``."""
     parser = argparse.ArgumentParser(
@@ -603,13 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="per-trial CSV path (default: stdout)")
     p.add_argument("--summary-out", help="per-cell aggregate CSV path")
     p.add_argument("--strict", action="store_true", help="exit 3 if any trial fails")
-
-    p = command("bench", _cmd_bench, "certification wall time across dataset sizes")
-    p.add_argument("--sizes", type=_parse_int_list, help="comma list of total point counts")
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--delta", type=float, default=2.3)
-    p.add_argument("--repeats", type=int, default=3, help="take the best of this many runs")
 
     return parser
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from certkmeans.certificate import dense_B, dense_projection
+from certkmeans.certificate import build_certificate_context, dense_B, dense_projection
 from certkmeans.model import (
     BallModelConfig,
     Partition,
@@ -169,6 +169,51 @@ def dense_E(ctx):
     return 0.5 * (inv[:, None] + inv[None, :])
 
 
+def corollary_check(points, partition):
+    """Explicit sufficient test for certificate validity (acceptance
+    criterion 3).
+
+    Computes
+
+        lhs = 2 ||Psi||^2 + sum_{a<b} ||P_1perp u_(a,b)|| ||P_1perp u_(b,a)|| / rho_(a,b)
+
+    where Psi is the cluster-centered m x N point matrix, and compares it
+    against z.  ``lhs <= z`` implies the operator condition behind the
+    certificate (the converse need not hold).  ||Psi||^2 is the largest
+    eigenvalue of the m x m Gram matrix Psi Psi^T, computed exactly.
+    Returns (holds, lhs, z).
+    """
+    ctx = build_certificate_context(points, partition)
+    ctx.require_defined()
+    centered = np.empty_like(ctx.phi)
+    for a in range(ctx.n_clusters):
+        blk = ctx.block(a)
+        centered[:, blk] = ctx.phi[:, blk] - ctx.phi[:, blk].mean(axis=1)[:, None]
+    lhs = 2.0 * max(float(np.linalg.eigvalsh(centered @ centered.T)[-1]), 0.0)
+    for a in range(ctx.n_clusters):
+        for b in range(a + 1, ctx.n_clusters):
+            u_ab = ctx.u[(a, b)]
+            u_ba = ctx.u[(b, a)]
+            norm_ab = float(np.linalg.norm(u_ab - u_ab.mean()))
+            norm_ba = float(np.linalg.norm(u_ba - u_ba.mean()))
+            lhs += norm_ab * norm_ba / ctx.rho_of(a, b)
+    return lhs <= ctx.z, lhs, ctx.z
+
+
+def recover_alpha(ctx):
+    """The per-point dual coefficients, in the caller's point order.
+
+    alpha_{a,r} = -z/n_a + (1/n_a^2) 1^T D^(a,a) 1 - (2/n_a) e_r^T D^(a,a) 1,
+    which equals -z/n_a + 2 mu_{a,r}.
+    """
+    parts = []
+    for a in range(ctx.n_clusters):
+        parts.append(-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a])
+    alpha = np.empty(ctx.n_points)
+    alpha[ctx.perm] = np.concatenate(parts)
+    return alpha
+
+
 def reference_kmeans_pp_centers(cols, k, rng):
     """D^2 seeding that forms each difference cols - c twice, inside einsum;
     the library's seeding must return bit-identical centers."""
@@ -311,7 +356,7 @@ def reference_optimal_threshold_split(points, y):
 
 
 def reference_certificate_context(points, partition):
-    """phi, sq_norms, mu, z, u, min_u and rho of the certificate context,
+    """phi, sq_norms, mu, z, u and rho of the certificate context,
     built with a fresh array per expression; the library's in-place build
     must match every one bit for bit."""
     k = partition.k
@@ -335,13 +380,11 @@ def reference_certificate_context(points, partition):
                 d_ab = sq_norms[blocks[a]] * n_b - 2.0 * (phi[:, blocks[a]].T @ col_sums[b]) + sq_sums[b]
                 row_sums[(a, b)] = d_ab + n_b * mu[a] + mu[b].sum()
     z = min(2.0 * sizes[a] / (sizes[a] + sizes[b]) * float(row_sums[(a, b)].min()) for (a, b) in row_sums)
-    u, min_u = {}, {}
+    u = {}
     for (a, b), ms in row_sums.items():
-        vec = ms - z * (sizes[a] + sizes[b]) / (2.0 * sizes[a])
-        min_u[(a, b)] = float(vec.min())
-        u[(a, b)] = np.maximum(vec, 0.0)
+        u[(a, b)] = np.maximum(ms - z * (sizes[a] + sizes[b]) / (2.0 * sizes[a]), 0.0)
     rho = {(a, b): 0.5 * (float(u[(a, b)].sum()) + float(u[(b, a)].sum())) for a in range(k) for b in range(a + 1, k)}
-    return SimpleNamespace(phi=phi, sq_norms=sq_norms, mu=tuple(mu), z=float(z), u=u, min_u=min_u, rho=rho)
+    return SimpleNamespace(phi=phi, sq_norms=sq_norms, mu=tuple(mu), z=float(z), u=u, rho=rho)
 
 
 def reference_sample_columns(config):

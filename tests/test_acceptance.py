@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ball_dataset, counterexample_1d_objectives, dense_A, dense_E
+from conftest import ball_dataset, corollary_check, counterexample_1d_objectives, dense_A, dense_E
 from certkmeans.certificate import (
     CertifyDecision,
     apply_A,
     build_certificate_context,
     certify_partition,
-    corollary_check,
 )
 from certkmeans.detector import DetectorDecision, power_iteration_detect
 from certkmeans.model import (

@@ -377,12 +377,17 @@ class TestCommandLine:
         records, _ = run_sweep([2.5], [2], [0], [3], trials=2)
         assert [(r.cert_decision, r.error) for r in records] == [("error", "need m >= 1")] * 2
 
-    def test_bench_runs(self, capsys):
-        rc = main(["bench", "--sizes", "64,128", "--dim", "4", "--clusters", "2", "--delta", "2.6", "--repeats", "1", "--seed", "1"])
+    def test_sweep_times_planted_certification(self, capsys):
+        # certification wall time across sizes: one row per trial, n is points per ball
+        rc = main(["sweep", "--delta", "2.6", "--clusters", "2", "--dim", "4", "--per-ball", "32,64",
+                   "--trials", "2", "--seed", "1", "--solver", "planted", "--certify"])
         assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n_points,wall_ms,decision"
-        assert len(lines) == 3
+        records = parse_records_csv(capsys.readouterr().out)
+        assert [r.n for r in records] == [32, 32, 64, 64]
+        for r in records:
+            assert r.solver_tag == "planted" and r.recovered_planted
+            assert r.cert_decision in {"certified_optimal", "not_certified", "inconclusive"}
+            assert r.wall_ms > 0.0
 
     def test_invalid_arguments_exit_2(self, tmp_path, capsys):
         for argv in (
@@ -390,7 +395,7 @@ class TestCommandLine:
             ["sweep", "--delta", "1:2"],
             ["sweep", "--delta", "1:2:0"],
             ["sweep", "--delta", "2.5", "--clusters", "a"],
-            ["bench", "--sizes", "64,x"],
+            ["sweep", "--delta", "2.5", "--per-ball", "64,x"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -399,15 +404,6 @@ class TestCommandLine:
         # values argparse accepts but the library or the command rejects: one error line, no traceback
         for argv, message in (
             (["generate", "--dim", "0", "--out", str(tmp_path / "x.csv")], "need m >= 1"),
-            (["bench", "--sizes", "64", "--clusters", "0"], "--clusters must be at least 2"),
-            # every size and --repeats are checked before the header is printed
-            (["bench", "--sizes", ""], "--sizes must list at least one size"),
-            (["bench", "--sizes", ","], "--sizes must list at least one size"),
-            (["bench", "--sizes", "0"], "size 0 is not a positive multiple of k=2"),
-            (["bench", "--sizes", "64,-4"], "size -4 is not a positive multiple of k=2"),
-            (["bench", "--sizes", "64,65"], "size 65 is not a positive multiple of k=2"),
-            (["bench", "--sizes", "64", "--repeats", "0"], "--repeats must be at least 1, got 0"),
-            (["bench", "--sizes", "64", "--repeats", "-5"], "--repeats must be at least 1, got -5"),
             (["sweep", "--delta", "3:2:0.5"], "grid must be nonempty"),
         ):
             assert main(argv) == 2, argv
@@ -433,7 +429,7 @@ class TestCommandLine:
             (["generate", "--dim", "2"], None, "missing required option --out"),
             (["generate", "--config", str(config)], None, "cannot read config file"),  # no such file
             (["sweep", "--delta", "2.5", "--config", str(config)], "{not json", "cannot read config file"),
-            (["bench", "--config", str(config)], "[64, 128]", "must hold a JSON object"),
+            (["sweep", "--config", str(config)], "[64, 128]", "must hold a JSON object"),
             # library ValueErrors: three balls need m >= 3, spectral2 needs k = 2
             (["generate", "--clusters", "3", "--out", str(tmp_path / "x.csv")], None, "needs m >= k"),
             (["solve", "--in", three_ball_csv, "--solver", "spectral2"], None, "two clusters only"),
@@ -512,12 +508,15 @@ class TestConfigFile:
         assert expect in from_file
         assert from_file == _output(capsys, [command, "--in", three_ball_csv] + _flags(values))
 
-    def test_bench_reads_sizes(self, tmp_path, capsys):
+    def test_json_numbers_feed_int_options(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"sizes": "64,96", "dim": 4, "delta": 3, "repeats": 1}))
-        from_file = _output(capsys, ["bench", "--config", str(config)])
-        assert [line.split(",")[0] for line in from_file] == ["n_points", "64", "96"]
-        assert from_file == _output(capsys, ["bench", "--sizes", "64,96", "--dim", "4", "--delta", "3", "--repeats", "1"])
+        values = {"dim": 3, "clusters": 3, "per_ball": 5, "delta": 3, "seed": 7}
+        config.write_text(json.dumps({**values, "out": str(tmp_path / "data.csv")}))
+        from_file = _output(capsys, ["generate", "--config", str(config)])
+        data = (tmp_path / "data.csv").read_text()
+        assert data.splitlines()[0] == "3,15,3"
+        assert from_file == _output(capsys, ["generate", "--out", str(tmp_path / "data.csv")] + _flags(values))
+        assert (tmp_path / "data.csv").read_text() == data
 
     def test_sweep_list_forms_agree(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
@@ -539,7 +538,6 @@ class TestConfigFile:
              {"use_planted": True, "epsilon": 1e-6, "seed": 2}),
             ("sweep", {"delta": "3.0", "clusters": "3", "per_ball": "16", "trials": 3, "solver": "spectral2"},
              {"delta": "2.5", "clusters": "2", "per_ball": "8", "trials": 1, "solver": "lloyd"}),
-            ("bench", {"sizes": "64,128", "clusters": 4, "repeats": 2}, {"sizes": "64", "clusters": 2, "repeats": 1}),
         ],
     )
     def test_flag_beats_file(self, tmp_path, capsys, three_ball_csv, command, file_values, flag_values):
@@ -570,6 +568,15 @@ class TestImportBoundary:
             assert hasattr(certkmeans, name), name
             assert not isinstance(getattr(certkmeans, name), types.ModuleType), name
         assert not {"DetectorConfig", "dense_A"} & set(certkmeans.__all__)
+
+    def test_removed_surface_stays_removed(self, capsys):
+        for name in ("diagnostics_csv", "recover_alpha", "corollary_check"):
+            assert name not in certkmeans.__all__, name
+            assert not hasattr(certkmeans.certificate, name), name
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_module_entry_point_without_runpy_warning(self):
         run = self._python("-W", "error::RuntimeWarning", "-m", "certkmeans.cli", "--help")

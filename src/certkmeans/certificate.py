@@ -14,8 +14,9 @@ leading eigenspace of
     A = (z / N) 11^T + P (B - D) P,
 
 which the power-iteration detector checks without ever materializing A:
-one application x -> Ax costs O(kmN) using D = nu 1^T - 2 Phi^T Phi + 1 nu^T
-and the rank-one structure of B.
+one application x -> Ax costs O(kmN) from the rank-one structure of B and
+D = nu 1^T - 2 Phi^T Phi + 1 nu^T, of which only the Gram term survives the
+projections (y = P x sums to zero, and P annihilates constants).
 
 Everything here works in a canonical point order that groups clusters into
 contiguous blocks; ``CertificateContext.perm`` maps canonical positions
@@ -56,9 +57,6 @@ RHO_REL_TOLERANCE = 1e-10
 # u must be nonnegative by construction; dips below
 # -U_CLAMP_REL_TOLERANCE * (mean squared point norm) indicate a bug.
 U_CLAMP_REL_TOLERANCE = 1e-8
-# Columns per pass of apply_A's elementwise distance steps: at 64 KiB per
-# float64 vector, the four vectors a pass touches stay inside a 2 MiB L2 cache.
-_CHUNK = 8192
 
 
 class CertificateUndefinedError(ValueError):
@@ -231,8 +229,19 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     )
 
 
+def _project(ctx: CertificateContext, v: np.ndarray) -> np.ndarray:
+    """P v in place: subtract each cluster's mean from its block of v."""
+    means = np.add.reduceat(v, ctx.offsets[:-1]) / ctx.sizes
+    for blk, mean in zip(ctx.blocks, means):
+        v[blk] -= mean
+    return v
+
+
 def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
-    """One O(kmN) application of A = (z/N) 11^T + P (B - D) P.
+    """One O(kmN) application of A = (z/N) 11^T + P (B - D) P as
+    P (B y + 2 Phi^T (Phi y)) + (z/N) (1^T x) 1 with y = P x: nu 1^T y is
+    zero and P (nu^T y) 1 = 0.  Besides one product per cluster pair in B y,
+    a call allocates y, its output and Phi^T (Phi y).
 
     Raises CertificateUndefinedError when the context was flagged
     undefined (division by rho would be invalid).
@@ -242,12 +251,7 @@ def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
     n = ctx.n_points
     if x.shape != (n,):
         raise ValueError(f"expected a length-{n} vector, got shape {x.shape}")
-    starts = ctx.offsets[:-1]
-    # y = P x: subtract each cluster's mean from its block
-    means = np.add.reduceat(x, starts) / ctx.sizes
-    y = np.empty_like(x)
-    for blk, mean in zip(ctx.blocks, means):
-        np.subtract(x[blk], mean, out=y[blk])
+    y = _project(ctx, x.copy())
     # w = B y from the rank-one blocks: (By)_a = sum_b u_(a,b) (u_(b,a)^T y_b) / rho.
     # Each term is added onto zeros, never written with out=: 0.0 + (-0.0) is +0.0.
     w = np.zeros_like(y)
@@ -255,21 +259,10 @@ def apply_A(ctx: CertificateContext, x: np.ndarray) -> np.ndarray:
         seg = w[blk_a]
         for u_ab, u_ba, blk_b, rho in terms:
             seg += u_ab * (float(u_ba @ y[blk_b]) / rho)
-    # w -= D y with D = nu 1^T - 2 Phi^T Phi + 1 nu^T, in the operand order of
-    # (nu s - 2 Phi^T (Phi y)) + c.  The gemv runs at full length: on a column
-    # slice of phi, BLAS may round the slice's last rows differently.
-    s = y.sum()
-    c = float(ctx.sq_norms @ y)
     t = ctx.phi.T @ (ctx.phi @ y)
-    for lo in range(0, n, _CHUNK):
-        hi = lo + _CHUNK
-        d = ctx.sq_norms[lo:hi] * s
-        t_c = t[lo:hi]
-        t_c *= 2.0
-        d -= t_c
-        d += c
-        w[lo:hi] -= d
-    w -= np.repeat(np.add.reduceat(w, starts) / ctx.sizes, ctx.sizes)
+    t *= 2.0
+    w += t
+    _project(ctx, w)
     w += (ctx.z / n) * x.sum()
     return w
 

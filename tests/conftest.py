@@ -292,18 +292,25 @@ def reference_lloyd(points, k, init="kmeans++", max_iter=100, seed=0):
     return SolveResult(partition, reference_kmeans_objective(points, partition), iterations, "lloyd")
 
 
-def reference_apply_A(ctx, x):
+def reference_apply_A(ctx, x, expanded=False):
     """A x with the off-diagonal product formed the dict-based way: every
     dot u_(b,a)^T x_b into a dict first, then one accumulator per block,
     summed in ascending b and copied into the output, and every other step
-    as one whole-vector expression.  Same arithmetic as the library's
-    per-block plan and chunked passes, so apply_A must match it bit for bit."""
+    as one whole-vector expression.  The distance term is -2 Phi^T (Phi y),
+    the only term of D y = nu (1^T y) - 2 Phi^T (Phi y) + (nu^T y) 1 that
+    survives the projections.  Same arithmetic as the library's per-block
+    plan, so apply_A must match it bit for bit.  ``expanded=True`` keeps
+    the two cancelled terms, in the operand order of the earlier operator
+    (nu s - 2 Phi^T (Phi y)) + c, which differs from A x by roundoff."""
 
     def project(v):
         return v - np.repeat(np.add.reduceat(v, ctx.offsets[:-1]) / ctx.sizes, ctx.sizes)
 
     def distance(v):
-        return ctx.sq_norms * v.sum() - 2.0 * (ctx.phi.T @ (ctx.phi @ v)) + float(ctx.sq_norms @ v)
+        gram = -2.0 * (ctx.phi.T @ (ctx.phi @ v))
+        if expanded:
+            return ctx.sq_norms * v.sum() + gram + float(ctx.sq_norms @ v)
+        return gram
 
     k = ctx.n_clusters
     blocks = [slice(int(ctx.offsets[a]), int(ctx.offsets[a + 1])) for a in range(k)]

@@ -29,13 +29,17 @@ from certkmeans.certificate import (
     dense_certificate_gap,
     dense_projection,
 )
+from certkmeans.cli import derive_streams, run_trial
 from certkmeans.detector import DetectorOutcome, default_epsilon, power_iteration_detect
 from certkmeans.model import (
+    BallModelConfig,
     Partition,
     PointSet,
     kmeans_objective,
     pairwise_sq_distances,
     partition_from_labels,
+    sample_stochastic_ball_model,
+    standard_centers,
 )
 from certkmeans.solvers import exact_kmeans_bruteforce
 
@@ -147,6 +151,8 @@ class TestConstruction:
             pts, part = PointSet(cols), partition_from_labels(labels)
             got = build_certificate_context(pts, part)
             want = reference_certificate_context(pts, part)
+            # tobytes() reads C order; the gemv bits also depend on phi's layout
+            assert got.phi.flags.f_contiguous
             arrays = [("phi", got.phi, want.phi), ("sq_norms", got.sq_norms, want.sq_norms)]
             arrays += [(f"mu[{a}]", x, y) for a, (x, y) in enumerate(zip(got.mu, want.mu, strict=True))]
             assert got.u.keys() == want.u.keys()
@@ -226,11 +232,7 @@ class TestOperator:
 
 PLAN_SIZES = {"sizes1-6-9": (1, 6, 9), "sizes1-2-13": (1, 2, 13), "sizes5-1-2-11": (5, 1, 2, 11),
               "sizes3-17": (3, 17), "sizes1-40": (1, 40),
-              # apply_A streams through 8192-column chunks: N one below, at and
-              # one above a chunk, two chunks and a 3-column tail, block
-              # boundaries inside a chunk, a singleton, k = 10 with unequal sizes
-              "n8191": (4000, 4191), "n8192": (3000, 5192), "n8193": (8190, 3),
-              "n16387-cut5000": (5000, 11387), "n16387-cut10000": (10000, 6387),
+              # N in the thousands: a singleton, k = 10 with unequal sizes
               "n8193-singleton": (1, 8192), "n8209-k10": (1, 300, 2000, 777, 1500, 95, 1234, 900, 2, 1400)}
 PLAN_CASES = [f"k{k}" for k in range(2, 11)] + sorted(PLAN_SIZES) + ["duplicated", "shift1e4"]
 
@@ -284,7 +286,7 @@ class TestOperatorPlan:
         "k, m, per_ball, delta, seed, n_keep, decision",
         [
             # N points drawn at random from the sample, so sizes differ:
-            # N = 2 * 8192 + 3 (235 and 18 iterations), then k = 10 and N = 8500
+            # N = 16387 (235 and 18 iterations), then k = 10 and N = 8500
             (2, 6, 8194, 2.2, 1, 16387, CertifyDecision.CERTIFIED_OPTIMAL),
             (2, 6, 8194, 2.2, 2, 16387, CertifyDecision.NOT_CERTIFIED),
             (10, 10, 1000, 3.0, 0, 8500, CertifyDecision.CERTIFIED_OPTIMAL),
@@ -302,6 +304,37 @@ class TestOperatorPlan:
         ref = power_iteration_detect(lambda x: reference_apply_A(ctx, x), v, default_epsilon(n_keep), seed)
         for field in dataclasses.fields(DetectorOutcome):
             assert repr(getattr(got.detector, field.name)) == repr(getattr(ref, field.name)), field.name
+
+    @pytest.mark.parametrize("name", PLAN_CASES)
+    def test_cancelled_distance_terms_are_roundoff(self, name):
+        # Against the expanded D y = nu s - 2 Phi^T (Phi y) + c 1 (s = 1^T y,
+        # c = nu^T y): c 1 leaves only the rounding of the projection's sums,
+        # and nu s leaves s (nu - block means of nu), where s is the rounding
+        # residue of 1^T P x.  So, with u = 2^-53 and R the size of every
+        # term before the projection,
+        #   |s| <= 2 (N + 2) u (|x|_1 + |y|_1)
+        #   |apply_A - expanded|_inf <= 2 |nu|_inf |s| + 4 (n_max + 4) u R + 3 u |out|_inf.
+        # Measured at up to 0.47 of the second bound.
+        ctx = plan_instance(name)
+        u = 2.0**-53
+        n, n_max = ctx.n_points, int(ctx.sizes.max())
+        nu = float(ctx.sq_norms.max())
+        x = np.random.default_rng(len(name)).standard_normal(n)
+        for _ in range(20):
+            got = apply_A(ctx, x)
+            old = reference_apply_A(ctx, x, expanded=True)
+            y = x - np.repeat(np.add.reduceat(x, ctx.offsets[:-1]) / ctx.sizes, ctx.sizes)
+            s, c = float(y.sum()), float(ctx.sq_norms @ y)
+            by = np.zeros(n)
+            for blk_a, terms in zip(ctx.blocks, ctx.terms):
+                for u_ab, u_ba, blk_b, rho in terms:
+                    by[blk_a] += u_ab * (float(u_ba @ y[blk_b]) / rho)
+            gram = 2.0 * float(np.abs(ctx.phi.T @ (ctx.phi @ y)).max())
+            big = abs(c) + nu * abs(s) + float(np.abs(by).max()) + gram
+            out = max(float(np.abs(got).max()), float(np.abs(old).max()))
+            assert abs(s) <= 2 * (n + 2) * u * (np.abs(x).sum() + np.abs(y).sum())
+            assert np.abs(got - old).max() <= 2 * nu * abs(s) + 4 * (n_max + 4) * u * big + 3 * u * out
+            x = got / np.linalg.norm(got)
 
     @pytest.mark.parametrize("name", PLAN_CASES)
     def test_plan_matches_offsets_and_shares_u(self, name):
@@ -525,6 +558,29 @@ class TestSoundnessSmoke:
                 obj = kmeans_objective(ds.points, ds.planted)
                 assert obj <= brute.objective + 1e-9 * max(1.0, brute.objective)
         assert certified >= 5  # sanity: the regime does produce certificates
+
+
+class TestKnownFalseCertificate:
+    # A sweep-small cell (delta = 2.1, k = 3, m = 6, 64 points a ball):
+    # Lloyd recovers the planted partition, whose dense gap is -0.93% of z,
+    # yet the detector certifies it after 61 iterations, inside the
+    # paper's 3 sqrt(N eps) = 1.6% allowance at N = 192.
+    SEED = 2967136457537620088
+    CONFIG = BallModelConfig(standard_centers(3, 6, 2.1), 64)
+
+    def test_dense_gap_is_negative(self):
+        assert run_trial(self.CONFIG, solver="lloyd", seed=self.SEED).recovered_planted
+        dataset = sample_stochastic_ball_model(dataclasses.replace(self.CONFIG, seed=derive_streams(self.SEED).sample))
+        ctx = build_certificate_context(dataset.points, dataset.planted)
+        assert ctx.n_points == 192
+        assert dense_certificate_gap(ctx) < 0
+
+    @pytest.mark.xfail(
+        strict=True, reason="the detector's eps = N^-3 test certifies it; ROADMAP item 1a's exact test would not"
+    )
+    def test_not_certified(self):
+        record = run_trial(self.CONFIG, solver="lloyd", certify=True, seed=self.SEED)
+        assert record.cert_decision != CertifyDecision.CERTIFIED_OPTIMAL.value
 
 
 TWO_BALLS = ball_dataset(seed=15)

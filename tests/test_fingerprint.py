@@ -15,7 +15,13 @@ def test_diff_reports_first_difference(tmp_path, capsys):
     assert fingerprint.main(["--diff", str(a), str(b)]) == 0
     assert "identical: 2 lines" in capsys.readouterr().out
     assert fingerprint.main(["--diff", str(a), str(c)]) == 1
-    assert capsys.readouterr().out == 'first difference at line 2:\n  A: {"op": 1}\n  B: {"op": 2}\n'
+    out = capsys.readouterr().out
+    assert out == 'first difference at line 2:\n  A: {"op": 1}\n  B: {"op": 2}\n2 lines differ: op 2\n'
+    d, e = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
+    d.write_text('{"lam": "1.0", "iterations": 3}\n{"lam": "2.0", "iterations": 4}\n{"lam": "3.0"}\n')
+    e.write_text('{"lam": "1.5", "iterations": 3}\n{"lam": "2.5", "iterations": 5}\n{"lam": "3.0"}\n')
+    assert fingerprint.main(["--diff", str(d), str(e)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "2 lines differ: lam 2, iterations 1"
 
 
 def test_missing_line_counts_as_difference():

@@ -19,10 +19,13 @@ harness CSVs: ``cli.run_sweep`` of that op's cell and base seed with
 ``check_alignment=True``, and the sha256 of its ``records_to_csv`` text (with
 the wall_ms column blanked) and of its ``summaries_to_csv`` text.  The
 library comes from the ``src`` directory of the same checkout, so running
-the script from two checkouts fingerprints two versions of the code.
+the script from two checkouts fingerprints two versions of the code.  BLAS
+runs on one thread, so both runs round alike.
 
-``--diff A B`` compares two such files line by line, prints the first
-differing line and exits 1, or prints the line count and exits 0.
+``--diff A B`` compares two such files line by line.  If they differ it
+prints the first differing line, then how many lines differ and, for each
+JSON key, on how many of those lines its value differs (most first), and
+exits 1; otherwise it prints the line count and exits 0.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -173,6 +179,21 @@ def first_difference(lines_a, lines_b):
     return None
 
 
+def key_differences(lines_a, lines_b):
+    """The number of differing lines and the ``(key, lines)`` counts of the
+    JSON keys whose values differ on them, most first; a missing line
+    differs in every key of the other file's line."""
+    counts = Counter()
+    lines = 0
+    for a, b in zip_longest(lines_a, lines_b):
+        if a == b:
+            continue
+        lines += 1
+        ra, rb = (json.loads(line) if line is not None else {} for line in (a, b))
+        counts.update(key for key in {**ra, **rb} if key not in ra or key not in rb or ra[key] != rb[key])
+    return lines, counts.most_common()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="output JSONL file (default: stdout)")
@@ -187,8 +208,13 @@ def main(argv=None) -> int:
             return 0
         pos, a, b = found
         print(f"first difference at line {pos + 1}:\n  A: {a}\n  B: {b}")
+        count, keys = key_differences(*lines)
+        print(f"{count} lines differ: " + ", ".join(f"{key} {n}" for key, n in keys))
         return 1
 
+    # BLAS reads these when numpy loads; a threaded gemv rounds differently from a serial one
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for record in fingerprint():

@@ -20,7 +20,9 @@ projections (y = P x sums to zero, and P annihilates constants).
 
 Everything here works in a canonical point order that groups clusters into
 contiguous blocks; ``CertificateContext.perm`` maps canonical positions
-back to the caller's point indices.
+back to the caller's point indices.  The points are centred on their mean,
+which changes no distance, and mu and M^(a,b) 1 come from their closed
+forms in the cluster centroids (see ``CertificateContext``).
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ __all__ = [
     "certify_partition",
 ]
 
-# rho at or below RHO_REL_TOLERANCE * N * (mean squared point norm) makes the
-# division in B invalid; the context is then flagged undefined.
+# rho at or below RHO_REL_TOLERANCE * N * scale makes the division in B
+# invalid; the context is then flagged undefined.  scale is the mean squared
+# distance of the points from their mean, so neither tolerance moves when
+# the data are translated.
 RHO_REL_TOLERANCE = 1e-10
 # u must be nonnegative by construction; dips below
-# -U_CLAMP_REL_TOLERANCE * (mean squared point norm) indicate a bug.
+# -U_CLAMP_REL_TOLERANCE * scale indicate a bug.
 U_CLAMP_REL_TOLERANCE = 1e-8
 
 
@@ -76,17 +80,22 @@ class CertificateContext:
 
     Canonical order: points are permuted so cluster a occupies columns
     offsets[a]:offsets[a+1] of ``phi``; phi[:, j] is the caller's point
-    ``perm[j]``.  Quantities:
+    ``perm[j]`` minus the mean of all points.  With x_j = phi[:, j] and c_a
+    the centroid of cluster a, the quantities are:
 
         sq_norms[j] = ||x_j||^2
         mu[a]       = (1/2) ((1/n_a^2) 11^T - (2/n_a) I) D^(a,a) 1
+                    = -||x_i - c_a||^2 for i in cluster a
         z           = min over ordered pairs (a, b) of
                       (2 n_a / (n_a + n_b)) min(M^(a,b) 1)
         u[(a, b)]   = M^(a,b) 1 - z (n_a + n_b) / (2 n_a) 1   (>= 0)
         rho[{a, b}] = u_(a,b)^T 1  (= u_(b,a)^T 1; stored symmetrized)
+        scale       = mean of sq_norms
 
-    with M^(a,b) = D^(a,b) + mu_a 1^T + 1 mu_b^T.  ``blocks[a]`` slices cluster
-    a; ``terms[a]`` holds (u_(a,b), u_(b,a), blocks[b], rho_ab) for b != a, ascending.
+    with M^(a,b) = D^(a,b) + mu_a 1^T + 1 mu_b^T, so that
+    M^(a,b) 1 = n_b (||x_i - c_b||^2 - ||x_i - c_a||^2).  ``blocks[a]`` slices
+    cluster a; ``terms[a]`` holds (u_(a,b), u_(b,a), blocks[b], rho_ab) for
+    b != a, ascending.
     """
 
     phi: np.ndarray
@@ -129,8 +138,8 @@ class CertificateContext:
 
 
 def build_certificate_context(points: PointSet, partition: Partition) -> CertificateContext:
-    """Assemble the certificate quantities in O(kmN) using only
-    matrix-free products (no N x N matrix is ever formed)."""
+    """Assemble the certificate quantities in O(kmN) from the centred
+    points and the k centroids (no N x N matrix is ever formed)."""
     if partition.count != points.count:
         raise ValueError("partition does not match point count")
     k = partition.k
@@ -138,47 +147,31 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
         raise ValueError("certificate needs at least two clusters")
     perm = np.argsort(partition.labels, kind="stable")
     phi = points.columns[:, perm]
+    phi -= points.columns.mean(axis=1)[:, None]  # exact where a shift dominates
     sizes = np.asarray(partition.sizes, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     n_total = points.count
     sq_norms = np.einsum("ij,ij->j", phi, phi)
     scale = float(sq_norms.mean())
-
-    col_sums = []
-    sq_sums = []
     blocks = tuple(slice(int(offsets[a]), int(offsets[a + 1])) for a in range(k))
-    for a in range(k):
-        col_sums.append(phi[:, blocks[a]].sum(axis=1))
-        sq_sums.append(float(sq_norms[blocks[a]].sum()))
-
-    def distance_row_sums(a: int, b: int) -> np.ndarray:
-        # D^(a,b) 1 = n_b ||x_i||^2 - 2 x_i^T s_b + sum_b ||x_j||^2, in place
-        out = sq_norms[blocks[a]] * int(sizes[b])
-        dots = phi[:, blocks[a]].T @ col_sums[b]
-        dots *= 2.0
-        out -= dots
-        out += sq_sums[b]
-        return out
+    centers = np.stack([phi[:, blk].mean(axis=1) for blk in blocks], axis=1)
+    center_sq = np.einsum("ij,ij->j", centers, centers)
 
     mu = []
-    for a in range(k):
-        n_a = int(sizes[a])
-        d_self = distance_row_sums(a, a)
-        total = d_self.sum() / n_a**2
-        d_self *= 2.0 / n_a
-        np.subtract(total, d_self, out=d_self)
-        d_self *= 0.5
-        mu.append(d_self)
-    mu_sums = [mu_a.sum() for mu_a in mu]
-
-    row_sums = {}  # (a, b) -> M^(a,b) 1
-    for a in range(k):
+    row_sums = {}  # (a, b) -> M^(a,b) 1, each built in place
+    for a, blk in enumerate(blocks):
+        dots = phi[:, blk].T @ centers  # x_i^T c_b for i in cluster a, every b
+        mu_a = dots[:, a] * 2.0
+        mu_a -= sq_norms[blk]
+        mu_a -= center_sq[a]
+        mu.append(mu_a)
         for b in range(k):
             if a == b:
                 continue
-            ms = distance_row_sums(a, b)
-            ms += int(sizes[b]) * mu[a]
-            ms += mu_sums[b]
+            ms = dots[:, a] - dots[:, b]
+            ms *= 2.0
+            ms += center_sq[b] - center_sq[a]
+            ms *= int(sizes[b])
             row_sums[(a, b)] = ms
 
     z = min(

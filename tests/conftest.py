@@ -368,24 +368,20 @@ def reference_certificate_context(points, partition):
     must match every one bit for bit."""
     k = partition.k
     perm = np.argsort(partition.labels, kind="stable")
-    phi = points.columns[:, perm]
+    phi = points.columns[:, perm] - points.columns.mean(axis=1)[:, None]
     sizes = np.asarray(partition.sizes, dtype=np.int64)
     blocks = blocks_of(sizes)
     sq_norms = np.einsum("ij,ij->j", phi, phi)
-    col_sums = [phi[:, blk].sum(axis=1) for blk in blocks]
-    sq_sums = [float(sq_norms[blk].sum()) for blk in blocks]
-    mu = []
-    for a in range(k):
-        n_a = int(sizes[a])
-        d_self = sq_norms[blocks[a]] * n_a - 2.0 * (phi[:, blocks[a]].T @ col_sums[a]) + sq_sums[a]
-        mu.append(0.5 * (d_self.sum() / n_a**2 - (2.0 / n_a) * d_self))
-    row_sums = {}
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                n_b = int(sizes[b])
-                d_ab = sq_norms[blocks[a]] * n_b - 2.0 * (phi[:, blocks[a]].T @ col_sums[b]) + sq_sums[b]
-                row_sums[(a, b)] = d_ab + n_b * mu[a] + mu[b].sum()
+    centers = np.stack([phi[:, blk].mean(axis=1) for blk in blocks], axis=1)
+    center_sq = np.einsum("ij,ij->j", centers, centers)
+    dots = [phi[:, blk].T @ centers for blk in blocks]
+    mu = [2.0 * dots[a][:, a] - sq_norms[blocks[a]] - center_sq[a] for a in range(k)]
+    row_sums = {
+        (a, b): int(sizes[b]) * (2.0 * (dots[a][:, a] - dots[a][:, b]) + (center_sq[b] - center_sq[a]))
+        for a in range(k)
+        for b in range(k)
+        if a != b
+    }
     z = min(2.0 * sizes[a] / (sizes[a] + sizes[b]) * float(row_sums[(a, b)].min()) for (a, b) in row_sums)
     u = {}
     for (a, b), ms in row_sums.items():

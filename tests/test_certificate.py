@@ -540,6 +540,44 @@ class TestCertify:
         assert holds_s == holds
         assert dense_certificate_gap(ctx_s) == pytest.approx(c**2 * gap, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BallModelConfig(standard_centers(2, 6, 2.3), 1024, seed=3),
+            BallModelConfig(standard_centers(10, 50, 5.0), 100),
+        ],
+        ids=["k2-m6", "k10-m50"],
+    )
+    def test_translation_invariance(self, config):
+        # Shifting every coordinate by s rounds it by at most eta = ulp/2 of
+        # the shifted value, which moves each point and centroid by at most
+        # sqrt(m) eta.  z is the least w_ab f_i over pairs and points, with
+        # w_ab = 2 n_a n_b / (n_a + n_b) and f_i = 2 (x_i - m_ab)^T (c_a - c_b),
+        # m_ab the midpoint of the centroids, so to first order
+        #   |z(shifted) - z| <= 4 sqrt(m) eta max_ab w_ab (|c_a - c_b| + max_i |x_i - m_ab|).
+        # The build's own rounding, which centring keeps independent of the
+        # shift, is left out; it measured under a tenth of the bound at 1e2.
+        ds = sample_stochastic_ball_model(config)
+        cols, labels, sizes = ds.points.columns, ds.planted.labels, ds.planted.sizes
+        k, m = config.centers.shape
+        centers = [cols[:, labels == a].mean(axis=1) for a in range(k)]
+        reach = 0.0
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    mid = 0.5 * (centers[a] + centers[b])
+                    offset = np.linalg.norm(cols[:, labels == a] - mid[:, None], axis=0).max()
+                    w_ab = 2.0 * sizes[a] * sizes[b] / (sizes[a] + sizes[b])
+                    reach = max(reach, w_ab * (np.linalg.norm(centers[a] - centers[b]) + offset))
+        base = certify_partition(ds.points, ds.planted)
+        assert base.decision is CertifyDecision.CERTIFIED_OPTIMAL
+        for shift in (1e2, 1e6, 1e8):
+            shifted = cols + shift
+            eta = 0.5 * float(np.spacing(np.abs(shifted)).max())
+            out = certify_partition(PointSet(shifted), ds.planted)
+            assert out.decision is base.decision, shift
+            assert abs(out.z - base.z) <= 4.0 * math.sqrt(m) * eta * reach, shift
+
 
 class TestSoundnessSmoke:
     def test_certified_is_globally_optimal_small(self):

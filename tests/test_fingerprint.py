@@ -22,6 +22,15 @@ def test_diff_reports_first_difference(tmp_path, capsys):
     e.write_text('{"lam": "1.5", "iterations": 3}\n{"lam": "2.5", "iterations": 5}\n{"lam": "3.0"}\n')
     assert fingerprint.main(["--diff", str(d), str(e)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "2 lines differ: lam 2, iterations 1"
+    f, g = tmp_path / "f.jsonl", tmp_path / "g.jsonl"
+    trial = '{{"workload": "w", "seed": 7, "op": {}, "trial": 1, "decision": "{}", "z": "{}"}}\n'.format
+    f.write_text(trial(3, "not_certified", 1.0) + trial(4, "certified_optimal", 2.0) + '{"op": 5}\n')
+    g.write_text(trial(3, "certified_optimal", 1.5) + trial(4, "certified_optimal", 2.5) + '{"op": 6}\n')
+    assert fingerprint.main(["--diff", str(f), str(g)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "3 lines differ: z 2, decision 1, op 1",
+        "decision w seed 7 op 3 trial 1: not_certified -> certified_optimal",
+    ]
 
 
 def test_missing_line_counts_as_difference():

@@ -57,11 +57,11 @@ SUMMARY_CSV = (
 # seed -> (sha256 of the int64 labels, repr(objective), repr(z), decision, detector iterations)
 K3_TRIALS = {
     1: ("27fb00e505913f04dd8e8f3b592b7474260c139566855e7140dcead9bace03ec",
-        "80.3104583102185", "49.58895465872723", "certified_optimal", 56),
+        "80.3104583102185", "49.58895465872725", "certified_optimal", 56),
     2: ("4202f55065ab47fbb5ed052b7fb0ab873db173f38f779b5eccd686956611c864",
-        "83.95445873301902", "31.005005608491906", "not_certified", 1),
+        "83.95445873301902", "31.00500560849192", "not_certified", 1),
     3: ("e960ce93fb8282383e520afb764e57c44e60c0a6974b3310f19008fe0850f190",
-        "85.47784737483695", "26.95337138330675", "not_certified", 1),
+        "85.47784737483695", "26.953371383306756", "not_certified", 1),
 }
 
 # stdout of `certkmeans certify --use-planted --seed 2` on the generated
@@ -70,7 +70,7 @@ CERTIFY_STDOUT = {
     (): (
         "partition: planted\n"
         "decision: certified_optimal\n"
-        "z: 90.94936873628492\n"
+        "z: 90.94936873628488\n"
         "epsilon: 4.76837158203125e-07\n"
         "confidence_bound: 0.0234375\n"
         "detector_iterations: 17\n"
@@ -78,7 +78,7 @@ CERTIFY_STDOUT = {
     ("--epsilon", "1e-6"): (
         "partition: planted\n"
         "decision: certified_optimal\n"
-        "z: 90.94936873628492\n"
+        "z: 90.94936873628488\n"
         "epsilon: 1e-06\n"
         "confidence_bound: 0.03394112549695428\n"
         "detector_iterations: 16\n"
@@ -132,37 +132,37 @@ def test_certify_stdout(tmp_path, capsys, extra):
 VERDICT_TABLE = {
     ("spectral2", 2, 6, 2.3, 2**14, 0): (
         "a8a8bace783f0b0ef3b5693572de975e0be5e695a7b19bc620b68ad460d7cf73",
-        "7553.695061289083", "certified_optimal", 27, True),
+        "7553.695061288987", "certified_optimal", 27, True),
     ("spectral2", 2, 6, 2.3, 2**14, 1): (
         "bc70a833973c13e02c4f2b950805f70e2a1945c1bec2ab39e2480775cc3b33c4",
-        "8451.018941531602", "certified_optimal", 30, True),
+        "8451.018941531569", "certified_optimal", 30, True),
     ("spectral2", 2, 6, 2.3, 2**14, 2): (
         "bc70a833973c13e02c4f2b950805f70e2a1945c1bec2ab39e2480775cc3b33c4",
-        "7800.990903697855", "certified_optimal", 32, True),
+        "7800.990903697889", "certified_optimal", 32, True),
     ("spectral2", 2, 6, 2.3, 2**14, 3): (
         "a8a8bace783f0b0ef3b5693572de975e0be5e695a7b19bc620b68ad460d7cf73",
-        "7020.826033948174", "certified_optimal", 37, True),
+        "7020.826033948104", "certified_optimal", 37, True),
     ("spectral2", 2, 6, 2.3, 2**16, 0): (
         "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
-        "26773.082381583223", "certified_optimal", 64, True),
+        "26773.082381583263", "certified_optimal", 64, True),
     ("spectral2", 2, 6, 2.3, 2**16, 1): (
         "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
-        "28491.88108483777", "not_certified", 40, True),
+        "28491.88108483808", "not_certified", 41, True),
     ("spectral2", 2, 6, 2.3, 2**16, 2): (
         "1b3160a4d1aedb090046134e213782f1cf06356b8dbb05b9c3314e10b5ee78cb",
-        "24424.082866609388", "not_certified", 63, True),
+        "24424.08286660888", "certified_optimal", 68, True),
     ("spectral2", 2, 6, 2.3, 2**16, 3): (
         "b478c99d9e805f24c4c4f6af5b3813bb2de926a39f5d4810b81248f94d3a3429",
-        "30539.862652128206", "not_certified", 37, True),
+        "30539.862652127274", "not_certified", 38, True),
     ("lloyd", 10, 50, 5.0, 20480, 0): (
         "a1de9f2b6ee9bd71260bf1a8f898628ee8b73da89cf806213a3c6bfbc216ac13",
-        "0.3769191297185194", "not_certified", 0, False),
+        "0.37691912971277636", "not_certified", 0, False),
     ("lloyd", 10, 50, 5.0, 20480, 1): (
         "0decb8edd1efc45c4ef7fd55e4b77b27b26a1c14780b37f6174b91d1e20aafec",
-        "40101.839984434504", "not_certified", 8, True),
+        "40101.83998443443", "not_certified", 8, True),
     ("lloyd", 10, 50, 5.0, 20480, 2): (
         "96f5d81b5bc2b646157a925ab9f9e0fa69a8f88965abda2b998c1a7c2fb2291e",
-        "38868.64153660523", "certified_optimal", 7, True),
+        "38868.64153660518", "certified_optimal", 7, True),
 }
 
 

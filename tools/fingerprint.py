@@ -24,8 +24,9 @@ runs on one thread, so both runs round alike.
 
 ``--diff A B`` compares two such files line by line.  If they differ it
 prints the first differing line, then how many lines differ and, for each
-JSON key, on how many of those lines its value differs (most first), and
-exits 1; otherwise it prints the line count and exits 0.
+JSON key, on how many of those lines its value differs (most first), then
+one line per trial whose decision differs, and exits 1; otherwise it prints
+the line count and exits 0.
 """
 
 from __future__ import annotations
@@ -194,6 +195,22 @@ def key_differences(lines_a, lines_b):
     return lines, counts.most_common()
 
 
+def decision_changes(lines_a, lines_b):
+    """One line per pair of trial records whose decision differs:
+    workload, seed, op, trial and the old and new decision."""
+    changes = []
+    for a, b in zip(lines_a, lines_b):
+        if a == b:
+            continue
+        ra, rb = json.loads(a), json.loads(b)
+        if "decision" in ra and "decision" in rb and ra["decision"] != rb["decision"]:
+            changes.append(
+                f"decision {ra['workload']} seed {ra['seed']} op {ra['op']} trial {ra['trial']}: "
+                f"{ra['decision']} -> {rb['decision']}"
+            )
+    return changes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="output JSONL file (default: stdout)")
@@ -210,6 +227,8 @@ def main(argv=None) -> int:
         print(f"first difference at line {pos + 1}:\n  A: {a}\n  B: {b}")
         count, keys = key_differences(*lines)
         print(f"{count} lines differ: " + ", ".join(f"{key} {n}" for key, n in keys))
+        for line in decision_changes(*lines):
+            print(line)
         return 1
 
     # BLAS reads these when numpy loads; a threaded gemv rounds differently from a serial one

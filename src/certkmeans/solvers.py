@@ -4,8 +4,10 @@ Three solvers share the SolveResult interface: Lloyd's alternating
 minimization (with D^2 seeding), a spectral method for two clusters that
 thresholds the leading principal direction, and an exhaustive search over
 all partitions for small N.  The spectral threshold step scans all N - 1
-split points of the sorted direction in O((m + log N) N) time via prefix
-and suffix recursions, and is exact for k = 2 in dimension one.
+split points of the sorted direction in O((m + log N) N) time: each side
+costs S2 - ||S1||^2 / n, from the prefix and suffix sums S1, S2 of the
+centred sorted points and of their squared norms.  It is exact for k = 2
+in dimension one.
 """
 
 from __future__ import annotations
@@ -69,17 +71,14 @@ class ThresholdScan:
 
     Attributes:
         order: permutation sorting the scan direction ascending (stable).
-        v: v[i-1] = sum of squared distances over all pairs among the
-            first i sorted points, i = 1..N-1.
-        v_c: same for the last N - i points.
-        f: f[i-1] = v_i / i + v_c_i / (N - i); equals twice the k-means
-            objective of the split {first i} | {last N - i}.
+        f: f[i-1] = 2 [(S2(i) - ||S1(i)||^2 / i) + (S2^c(i) - ||S1^c(i)||^2 / (N - i))],
+            twice the k-means objective of the split {first i} | {last N - i},
+            from the sums S1, S2 of the first i centred sorted points and of
+            their squared norms and the sums S1^c, S2^c of the last N - i.
         argmin: minimizing split size i* (ties broken toward smaller i).
     """
 
     order: np.ndarray
-    v: np.ndarray
-    v_c: np.ndarray
     f: np.ndarray
     argmin: int
 
@@ -407,32 +406,17 @@ def leading_eigenvector(matvec: Callable[[np.ndarray], np.ndarray], n: int, *, s
     return EigenResult(q, rayleigh, False, it)
 
 
-def _recursion_steps(
-    x: np.ndarray, s1: np.ndarray, s2: np.ndarray, counts: np.ndarray, sq: np.ndarray
-) -> np.ndarray:
-    """2 s2 - 4 x^T s1 + 2 counts ||x||^2, one entry per column of x; each
-    product and difference is written in place (``counts`` is consumed)."""
-    dots = np.einsum("ji,ji->i", x, s1)
-    dots *= 4.0
-    steps = 2.0 * s2
-    steps -= dots
-    counts *= 2.0
-    counts *= sq
-    steps += counts
-    return steps
-
-
 def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     """Best split of the points along the ordering induced by ``y``.
 
-    Sorts indices by y (stable), then evaluates every split {first i} |
-    {last N - i} through the pairwise-sum recursions
+    Sorts indices by y (stable) and centres the sorted points on their mean,
+    which moves no split's cost.  With S1(i) and S2(i) the sums of the first
+    i centred points and of their squared norms, and S1^c(i), S2^c(i) the
+    same over the last N - i, the split {first i} | {last N - i} has
 
-        v_{i+1}   = v_i   + 2 s2(i)   - 4 x_{i+1}^T s1(i) + 2 i ||x_{i+1}||^2
-        v^c_{i-1} = v^c_i + 2 s2^c(i) - 4 x_i^T s1^c(i)   + 2 (N - i) ||x_i||^2
+        f(i) = 2 [(S2(i) - ||S1(i)||^2 / i) + (S2^c(i) - ||S1^c(i)||^2 / (N - i))],
 
-    where s1/s2 are prefix sums of points and squared norms (s1^c/s2^c the
-    suffixes), and minimizes f(i) = v_i / i + v^c_i / (N - i).
+    twice its k-means objective; the first minimizer of f wins.
     """
     y = np.asarray(y, dtype=float)
     n = points.count
@@ -446,38 +430,23 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     sorted_y = y[order]
     if not (sorted_y[1:] > sorted_y[:-1]).all():
         order = np.argsort(y, kind="stable")
-    cols = points.columns[:, order]
-    sq = np.einsum("ij,ij->j", cols, cols)
 
-    # two m x N buffers: the sorted points, and their prefix sums, which
-    # become the suffix sums in place once the forward recursion is done
-    prefix1 = np.cumsum(cols, axis=1)
-    prefix2 = np.cumsum(sq)
-    inner = cols[:, 1 : n - 1]
-
-    # v[i-1] = v_i for i = 1..N-1
-    v = np.zeros(n - 1)
-    counts = np.arange(1, n - 1, dtype=float)
-    steps = _recursion_steps(inner, prefix1[:, : n - 2], prefix2[: n - 2], counts, sq[1 : n - 1])
-    np.cumsum(steps, out=v[1:])
-
-    # suffix aggregates over positions strictly after t (0-based); total1 is
-    # a view of prefix1, so it is copied before prefix1 is overwritten
-    total1 = prefix1[:, -1].copy()
-    suffix1 = np.subtract(total1[:, None], prefix1, out=prefix1)
-    suffix2 = np.subtract(prefix2[-1], prefix2, out=prefix2)
-    v_c = np.zeros(n - 1)
-    counts = np.arange(n - 2, 0, -1, dtype=float)  # N - i for i = 2..N-1
-    steps = _recursion_steps(inner, suffix1[:, 1 : n - 1], suffix2[1 : n - 1], counts, sq[1 : n - 1])
-    np.cumsum(steps[::-1], out=v_c[: n - 2][::-1])
-
-    f = np.arange(1, n, dtype=float)  # sizes of the low side
-    np.divide(v, f, out=f)
-    high = np.arange(n - 1, 0, -1, dtype=float)
-    np.divide(v_c, high, out=high)
-    f += high
-    best = int(np.argmin(f)) + 1
-    return ThresholdScan(order=order, v=v, v_c=v_c, f=f, argmin=best)
+    # one m x N buffer: the sorted points, centred, then their prefix sums
+    # S1, then the suffix sums S1^c = S1(N) - S1
+    sums = points.columns[:, order]
+    sums -= sums.mean(axis=1)[:, None]
+    prefix2 = np.cumsum(np.einsum("ij,ij->j", sums, sums))
+    np.cumsum(sums, axis=1, out=sums)
+    sizes = np.arange(1, n, dtype=float)  # of the low side
+    low = np.einsum("ij,ij->j", sums[:, :-1], sums[:, :-1])
+    low /= sizes
+    np.subtract(sums[:, -1:].copy(), sums, out=sums)
+    high = np.einsum("ij,ij->j", sums[:, :-1], sums[:, :-1])
+    high /= n - sizes
+    f = prefix2[:-1] - low
+    f += (prefix2[-1] - prefix2[:-1]) - high
+    f *= 2.0
+    return ThresholdScan(order=order, f=f, argmin=int(np.argmin(f)) + 1)
 
 
 def spectral_two_means(points: PointSet, *, seed: int = 0) -> SolveResult:
@@ -499,7 +468,7 @@ def spectral_two_means(points: PointSet, *, seed: int = 0) -> SolveResult:
     else:
         eig = leading_eigenvector(lambda x: centered.T @ (centered @ x), n, seed=seed)
         y = eig.vector
-    del centered  # the scan below needs two m x N buffers of its own
+    del centered  # the scan below needs an m x N buffer of its own
     # fix the eigenvector's sign ambiguity so the result is well defined
     lead = int(np.argmax(np.abs(y)))
     if y[lead] < 0.0:

@@ -22,7 +22,7 @@ from certkmeans.model import (
     sample_stochastic_ball_model,
     standard_centers,
 )
-from certkmeans.solvers import SolveResult, ThresholdScan
+from certkmeans.solvers import SolveResult
 
 
 def ball_dataset(seed, k=2, m=2, n=10, delta=6.0, distribution=UNIFORM_BALL):
@@ -325,41 +325,6 @@ def reference_apply_A(ctx, x, expanded=False):
                 acc += ctx.u[(a, b)] * (dots[(b, a)] / ctx.rho[(min(a, b), max(a, b))])
         off[blocks[a]] = acc
     return project(off - distance(y)) + (ctx.z / ctx.n_points) * x.sum()
-
-
-def reference_optimal_threshold_split(points, y):
-    """The threshold scan built from concatenations and chained temporaries
-    (four m x N arrays); the library's in-place scan must return the same
-    order, v, v_c, f and argmin bit for bit."""
-    y = np.asarray(y, dtype=float)
-    n = points.count
-    order = np.argsort(y)
-    sorted_y = y[order]
-    if not (sorted_y[1:] > sorted_y[:-1]).all():
-        order = np.argsort(y, kind="stable")
-    cols = points.columns[:, order]
-    sq = np.einsum("ij,ij->j", cols, cols)
-    prefix1 = np.cumsum(cols, axis=1)
-    prefix2 = np.cumsum(sq)
-    total1 = prefix1[:, -1]
-    total2 = prefix2[-1]
-    if n > 2:
-        dots_fwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], prefix1[:, : n - 2])
-        steps = 2.0 * prefix2[: n - 2] - 4.0 * dots_fwd + 2.0 * np.arange(1, n - 1) * sq[1 : n - 1]
-        v = np.concatenate(([0.0], np.cumsum(steps)))
-    else:
-        v = np.zeros(1)
-    suffix1 = total1[:, None] - prefix1
-    suffix2 = total2 - prefix2
-    if n > 2:
-        dots_bwd = np.einsum("ji,ji->i", cols[:, 1 : n - 1], suffix1[:, 1 : n - 1])
-        steps_c = 2.0 * suffix2[1 : n - 1] - 4.0 * dots_bwd + 2.0 * (n - np.arange(2, n)) * sq[1 : n - 1]
-        v_c = np.concatenate((np.cumsum(steps_c[::-1])[::-1], [0.0]))
-    else:
-        v_c = np.zeros(1)
-    sizes_low = np.arange(1, n)
-    f = v / sizes_low + v_c / (n - sizes_low)
-    return ThresholdScan(order=order, v=v, v_c=v_c, f=f, argmin=int(np.argmin(f)) + 1)
 
 
 def reference_certificate_context(points, partition):

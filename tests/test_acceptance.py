@@ -252,7 +252,7 @@ def test_criterion_9_oracle_equivalence_suites():
             operator_ok -= 10_000
     part_a = operator_ok >= 45  # a few undefined draws are fine, failures are not
 
-    # (b) threshold-scan recursions vs quadratic double sums
+    # (b) threshold scan's closed form (prefix sums of centred points) vs quadratic double sums
     scan_failures = 0
     for trial in range(50):
         n = int(rng.integers(2, 41))

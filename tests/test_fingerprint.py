@@ -65,7 +65,7 @@ def test_scan_record_hashes_every_scan_array():
     record = fingerprint.scan_record("w", 7, 0, scans[0])
     assert record["argmin"] == 2
     assert record["f_sha256"] == fingerprint.hashlib.sha256(scans[0].f.tobytes()).hexdigest()
-    assert {key for key in record if key.endswith("_sha256")} == {"order_sha256", "v_sha256", "v_c_sha256", "f_sha256"}
+    assert {key for key in record if key.endswith("_sha256")} == {"order_sha256", "f_sha256"}
 
 
 def test_captured_solves_records_each_solve_and_restores_names():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -11,10 +12,10 @@ from conftest import (
     reference_centroids,
     reference_kmeans_pp_centers,
     reference_lloyd,
-    reference_optimal_threshold_split,
     reference_repair_empty,
 )
 from certkmeans import solvers
+from certkmeans.certificate import certify_partition
 from certkmeans.model import (
     BallModelConfig,
     PointSet,
@@ -467,11 +468,7 @@ class TestThresholdScan:
             scan = optimal_threshold_split(pts, y)
             dist = pairwise_sq_distances(pts.columns[:, scan.order])
             for i in range(1, n):
-                v_direct = dist[:i, :i].sum()
-                vc_direct = dist[i:, i:].sum()
-                f_direct = v_direct / i + vc_direct / (n - i)
-                assert abs(scan.v[i - 1] - v_direct) <= 1e-8 * max(1.0, v_direct)
-                assert abs(scan.v_c[i - 1] - vc_direct) <= 1e-8 * max(1.0, vc_direct)
+                f_direct = dist[:i, :i].sum() / i + dist[i:, i:].sum() / (n - i)
                 assert abs(scan.f[i - 1] - f_direct) <= 1e-8 * max(1.0, f_direct)
 
     def test_f_is_twice_split_objective(self):
@@ -498,9 +495,10 @@ class TestThresholdScan:
             assert partitions_equal(pa, pb)
 
 
-    def test_bit_identical_to_reference(self):
-        # the in-place scan returns the bits of the scan built from fresh
-        # temporaries; tied and NaN keys take the stable-sort fallback
+    def test_closed_form_on_edge_cases(self):
+        # order is the stable sort, argmin the first minimizer, and each f[i-1]
+        # twice the objective of split i, on distinct, tied and NaN keys,
+        # duplicated points and data far from the origin
         rng = np.random.default_rng(18)
         cases = []
         for n in (2, 3, 4, 5, 37, 400):
@@ -508,19 +506,35 @@ class TestThresholdScan:
                 cols = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0)
                 cases.append((cols, rng.standard_normal(n)))  # distinct keys
                 cases.append((cols + 1e6, rng.standard_normal(n)))  # far from the origin
+                cases.append((cols + 1e8, rng.standard_normal(n)))
                 cases.append((cols, np.round(rng.standard_normal(n))))  # tied keys
                 nan_keys = rng.standard_normal(n)
                 nan_keys[rng.integers(n, size=max(1, n // 4))] = np.nan
                 cases.append((cols, nan_keys))
                 dup = cols[:, rng.integers(max(1, n // 3), size=n)]  # duplicated points
                 cases.append((dup, dup.T @ rng.standard_normal(m)))
+        u = 2.0**-53
         for cols, y in cases:
-            got = optimal_threshold_split(PointSet(cols), y)
-            want = reference_optimal_threshold_split(PointSet(cols), y)
-            for name in ("order", "v", "v_c", "f"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-            assert got.argmin == want.argmin
+            m, n = cols.shape
+            pts = PointSet(cols)
+            scan = optimal_threshold_split(pts, y)
+            assert np.array_equal(scan.order, np.argsort(y, kind="stable"))
+            assert scan.argmin == int(np.flatnonzero(scan.f == scan.f.min())[0]) + 1
+            # Rounding bound, u = 2^-53.  A computed mean, the scan's or a
+            # cluster's, is off by at most N u max|x| per coordinate, which
+            # adds at most offset = N m (N u max|x|)^2 to a scatter.  Each sum
+            # the scan forms then rounds by at most (m + N) u times the scatter
+            # about its mean, and the suffix norms by a further sqrt(N)
+            # (Cauchy-Schwarz); under 16 such terms in f / 2, plus
+            # kmeans_objective's own rounding, give the bound below
+            offset = n * m * (n * u * float(np.abs(cols).max())) ** 2
+            scatter = float(((cols - cols.mean(axis=1)[:, None]) ** 2).sum()) + offset
+            tol = 32.0 * (m + n) * u * math.sqrt(n) * scatter + 2.0 * offset
+            for i in range(1, n):
+                labels = np.ones(n, dtype=np.int64)
+                labels[scan.order[:i]] = 0
+                obj = kmeans_objective(pts, partition_from_labels(labels))
+                assert abs(scan.f[i - 1] - 2.0 * obj) <= tol, (m, n, i)
 
 
 class TestSpectralTwoMeans:
@@ -571,21 +585,39 @@ class TestSpectralTwoMeans:
         assert res.objective <= (2.0 + 1e-6) * brute.objective
 
 
-    def test_bit_identical_with_reference_scan(self, monkeypatch):
-        # both eigenvector paths (m <= N and m > N) end in the same labels
+    def test_bit_identical_with_reference_scan(self):
+        # both eigenvector paths (m <= N and m > N) and 1-D data far from the
+        # origin keep their pinned labels and objective
         rng = np.random.default_rng(25)
         instances = [PointSet(rng.standard_normal((30, 8))), ball_dataset(seed=26, k=2, m=6, n=200, delta=2.3).points,
                      PointSet(rng.standard_normal((1, 50)) + 1e6)]
-        fast = [spectral_two_means(pts, seed=3) for pts in instances]
-        monkeypatch.setattr(solvers, "optimal_threshold_split", reference_optimal_threshold_split)
-        for pts, got in zip(instances, fast):
-            want = spectral_two_means(pts, seed=3)
-            assert np.array_equal(got.partition.labels, want.partition.labels)
-            assert repr(got.objective) == repr(want.objective)
+        pinned = [
+            ("a9edc6a813b4157c34dfe63cdac250badfd140296fa038ac037c47da231e7508", "149.4103977594919"),
+            ("0404fdba6375eb3aadc22a56903bfecb89066b080163aabd465409e0d3ec34be", "300.602289398107"),
+            ("4abab03b6694a4eeed37878e17e74f3b527efc7938fbfd0bc29113a3b6466e64", "22.88908414092787"),
+        ]
+        for pts, (labels_sha256, objective) in zip(instances, pinned):
+            got = spectral_two_means(pts, seed=3)
+            assert hashlib.sha256(got.partition.labels.astype(np.int64).tobytes()).hexdigest() == labels_sha256
+            assert repr(got.objective) == objective
+
+    def test_translation_end_to_end(self):
+        # the centred scan and the centred certificate keep the labels and
+        # the decision of the unshifted data
+        for per_ball, seed in ((4096, 3), (512, 8)):
+            config = BallModelConfig(standard_centers(2, 6, 2.3), per_ball, seed=seed)
+            points = sample_stochastic_ball_model(config).points
+            base = spectral_two_means(points, seed=5)
+            decision = certify_partition(points, base.partition, seed=9).decision
+            for shift in (1e2, 1e6, 1e8):
+                shifted = PointSet(points.columns + shift)
+                got = spectral_two_means(shifted, seed=5)
+                assert np.array_equal(got.partition.labels, base.partition.labels), (per_ball, shift)
+                assert certify_partition(shifted, got.partition, seed=9).decision is decision, (per_ball, shift)
 
     def test_memory_below_budget(self):
-        # centered is freed before the scan, and the scan holds two m x N
-        # buffers: the peak stays under 4.5 copies of the points
+        # centered is freed before the scan, and the scan holds one m x N
+        # buffer: the peak stays under 3.25 copies of the points
         points = ball_dataset(seed=27, k=2, m=6, n=2**14, delta=2.3).points
         tracemalloc.start()
         try:
@@ -593,7 +625,7 @@ class TestSpectralTwoMeans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * points.columns.nbytes
+        assert peak < 3.25 * points.columns.nbytes
 
 
 class TestBruteforce:

@@ -12,7 +12,7 @@ the solver's iteration count, and the ``repr`` of its objective, recovery
 flag, z, decision, detector iterations, final Rayleigh quotient, final
 alignment, lambda and confidence bound.  After the trials of each op it
 writes one line per threshold scan the op made (the spectral solver's, on
-certify-large): the sha256 of the scan's order, v, v_c and f, so a changed
+certify-large): its split and the sha256 of its order and f, so a changed
 bit in f shows even where the split does not move.  After
 the trials of each op of a sweep workload it writes one more line for the
 harness CSVs: ``cli.run_sweep`` of that op's cell and base seed with
@@ -78,7 +78,7 @@ def _sha256(text: str) -> str:
 def scan_record(workload: str, seed: int, op: int, scan) -> dict:
     """The sha256 of each array of one threshold scan, and its split."""
     record = {"workload": workload, "seed": seed, "op": op, "argmin": scan.argmin}
-    for name in ("order", "v", "v_c", "f"):
+    for name in ("order", "f"):
         record[f"{name}_sha256"] = hashlib.sha256(getattr(scan, name).tobytes()).hexdigest()
     return record
 

@@ -19,10 +19,9 @@ D = nu 1^T - 2 Phi^T Phi + 1 nu^T, of which only the Gram term survives the
 projections (y = P x sums to zero, and P annihilates constants).
 
 Everything here works in a canonical point order that groups clusters into
-contiguous blocks; ``CertificateContext.perm`` maps canonical positions
-back to the caller's point indices.  The points are centred on their mean,
-which changes no distance, and mu and M^(a,b) 1 come from their closed
-forms in the cluster centroids (see ``CertificateContext``).
+contiguous blocks: the stable sort of the labels.  The points are centred
+on their mean, which changes no distance, and M^(a,b) 1 comes from its
+closed form in the cluster centroids (see ``CertificateContext``).
 """
 
 from __future__ import annotations
@@ -78,32 +77,29 @@ class CertifyDecision(enum.Enum):
 class CertificateContext:
     """Precomputed certificate data enabling O(kmN) operator applications.
 
-    Canonical order: points are permuted so cluster a occupies columns
-    offsets[a]:offsets[a+1] of ``phi``; phi[:, j] is the caller's point
-    ``perm[j]`` minus the mean of all points.  With x_j = phi[:, j] and c_a
-    the centroid of cluster a, the quantities are:
+    Canonical order: points are permuted by the stable sort of the labels,
+    so cluster a occupies columns offsets[a]:offsets[a+1] of ``phi``; each
+    column is a point minus the mean of all points.  With x_j = phi[:, j]
+    and c_a the centroid of cluster a, the quantities are:
 
         sq_norms[j] = ||x_j||^2
-        mu[a]       = (1/2) ((1/n_a^2) 11^T - (2/n_a) I) D^(a,a) 1
-                    = -||x_i - c_a||^2 for i in cluster a
         z           = min over ordered pairs (a, b) of
                       (2 n_a / (n_a + n_b)) min(M^(a,b) 1)
         u[(a, b)]   = M^(a,b) 1 - z (n_a + n_b) / (2 n_a) 1   (>= 0)
         rho[{a, b}] = u_(a,b)^T 1  (= u_(b,a)^T 1; stored symmetrized)
         scale       = mean of sq_norms
 
-    with M^(a,b) = D^(a,b) + mu_a 1^T + 1 mu_b^T, so that
-    M^(a,b) 1 = n_b (||x_i - c_b||^2 - ||x_i - c_a||^2).  ``blocks[a]`` slices
-    cluster a; ``terms[a]`` holds (u_(a,b), u_(b,a), blocks[b], rho_ab) for
-    b != a, ascending.
+    with M^(a,b) = D^(a,b) + g_a 1^T + 1 g_b^T, where g_a holds
+    (1/2) ((1/n_a^2) 11^T - (2/n_a) I) D^(a,a) 1 = -||x_i - c_a||^2 for i in
+    cluster a, so that M^(a,b) 1 = n_b (||x_i - c_b||^2 - ||x_i - c_a||^2).
+    ``blocks[a]`` slices cluster a; ``terms[a]`` holds (u_(a,b), u_(b,a),
+    blocks[b], rho_ab) for b != a, ascending.
     """
 
     phi: np.ndarray
     sizes: np.ndarray
     offsets: np.ndarray
-    perm: np.ndarray
     sq_norms: np.ndarray
-    mu: tuple[np.ndarray, ...]
     z: float
     u: dict[tuple[int, int], np.ndarray]
     rho: dict[tuple[int, int], float]
@@ -145,8 +141,7 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     k = partition.k
     if k < 2:
         raise ValueError("certificate needs at least two clusters")
-    perm = np.argsort(partition.labels, kind="stable")
-    phi = points.columns[:, perm]
+    phi = points.columns[:, np.argsort(partition.labels, kind="stable")]
     phi -= points.columns.mean(axis=1)[:, None]  # exact where a shift dominates
     sizes = np.asarray(partition.sizes, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -157,14 +152,9 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
     centers = np.stack([phi[:, blk].mean(axis=1) for blk in blocks], axis=1)
     center_sq = np.einsum("ij,ij->j", centers, centers)
 
-    mu = []
     row_sums = {}  # (a, b) -> M^(a,b) 1, each built in place
     for a, blk in enumerate(blocks):
         dots = phi[:, blk].T @ centers  # x_i^T c_b for i in cluster a, every b
-        mu_a = dots[:, a] * 2.0
-        mu_a -= sq_norms[blk]
-        mu_a -= center_sq[a]
-        mu.append(mu_a)
         for b in range(k):
             if a == b:
                 continue
@@ -209,9 +199,7 @@ def build_certificate_context(points: PointSet, partition: Partition) -> Certifi
         phi=phi,
         sizes=sizes,
         offsets=offsets,
-        perm=perm,
         sq_norms=sq_norms,
-        mu=tuple(mu),
         z=float(z),
         u=u,
         rho=rho,
@@ -266,9 +254,13 @@ def _check_dense_size(ctx: CertificateContext, cap: int = 2000) -> None:
 
 
 def dense_M(ctx: CertificateContext) -> np.ndarray:
-    """Dense M = D + g 1^T + 1 g^T where block a of g is mu_a (test helper)."""
+    """Dense M = D + g 1^T + 1 g^T with g_i = -||x_i - c_a||^2 for x_i in
+    cluster a (test helper)."""
     _check_dense_size(ctx)
-    g = np.concatenate(ctx.mu)
+    g = np.empty(ctx.n_points)
+    for blk in ctx.blocks:
+        diff = ctx.phi[:, blk] - ctx.phi[:, blk].mean(axis=1)[:, None]
+        g[blk] = -np.einsum("ij,ij->j", diff, diff)
     return pairwise_sq_distances(ctx.phi) + g[:, None] + g[None, :]
 
 

@@ -4,7 +4,9 @@ Subcommands: ``generate`` (sample a dataset to CSV), ``solve`` (run one
 solver on a dataset), ``certify`` (test a partition for certified
 optimality) and ``sweep`` (grids over delta/k/m/n with per-trial CSV rows
 and per-cell aggregates; ``--solver planted --certify`` times certification
-across a ``--per-ball`` list).
+across a ``--per-ball`` list).  An argument ``@path`` stands for the
+arguments in that file, one per line (``certkmeans sweep @grid.args
+--trials 3``), so a flag that comes after it wins.
 
 Every trial draws its randomness from a single 64-bit trial seed.  Within
 a sweep, trial seeds follow base_seed + (trial_index + 1) * GAMMA mod 2^64
@@ -20,7 +22,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import sys
 import time
@@ -415,59 +416,26 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The JSON object in ``path`` as defaults for ``parser``'s options.
-
-    Keys are the long flag names with underscores (``per_ball``, ``in``);
-    keys that name no option of the subcommand are ignored.  Numbers for
-    options with a ``type`` are passed as text, because argparse applies
-    ``type`` to string defaults only.
-    """
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: cannot read config file {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise SystemExit(f"error: config file {path} must hold a JSON object")
-    defaults = {}
-    for action in parser._actions:
-        key = action.option_strings[-1].lstrip("-").replace("-", "_")
-        if key in cfg and key not in ("help", "config"):
-            value = cfg[key]
-            if action.type is not None and isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = str(value)
-            defaults[action.dest] = value
-    return defaults
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise SystemExit(f"error: missing required option {flag}")
-    return value
-
-
 def _solve_dataset(dataset: Dataset, args: argparse.Namespace) -> SolveResult:
     """Run ``--solver`` for ``--clusters`` clusters, by default the planted count."""
     k = args.clusters
     if k is None:
         if dataset.planted is None:
-            raise SystemExit("error: --clusters required when the dataset has no planted labels")
+            raise ValueError("--clusters required when the dataset has no planted labels")
         k = dataset.planted.k
     return _solve(dataset, args.solver, k, args.seed)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    out = _require(args.out, "--out")
     config = _build_ball_config(args.dim, args.clusters, args.per_ball, args.delta, args.distribution, args.seed)
     dataset = sample_stochastic_ball_model(config)
-    write_dataset_csv(dataset, out)
-    print(f"wrote {dataset.points.count} points (m={args.dim}, k={args.clusters}, delta={args.delta}) to {out}")
+    write_dataset_csv(dataset, args.out)
+    print(f"wrote {dataset.points.count} points (m={args.dim}, k={args.clusters}, delta={args.delta}) to {args.out}")
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    dataset = read_dataset_csv(_require(args.input, "--in"))
+    dataset = read_dataset_csv(args.input)
     result = _solve_dataset(dataset, args)
     print(f"solver: {result.solver_tag}")
     print(f"objective: {result.objective!r}")
@@ -478,7 +446,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    dataset = read_dataset_csv(_require(args.input, "--in"))
+    dataset = read_dataset_csv(args.input)
     result = _solve(dataset, "planted", 0, args.seed) if args.use_planted else _solve_dataset(dataset, args)
     outcome = certify_partition(dataset.points, result.partition, args.epsilon, seed=args.seed)
     print(f"partition: {result.solver_tag}")
@@ -493,7 +461,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     records, summaries = run_sweep(
-        _require(args.delta, "--delta"),
+        args.delta,
         args.clusters,
         args.dim,
         args.per_ball,
@@ -532,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certkmeans",
         description="k-means solvers with certified-optimality testing on planted ball data",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(required=True)
 
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func, command_parser=p)
-        p.add_argument("--config", help="JSON file with the same field names as the long flags")
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=0, help="64-bit seed")
         return p
 
@@ -548,22 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-ball", dest="per_ball", type=int, default=100, help="points per ball n")
     p.add_argument("--delta", type=float, default=3.0, help="center separation")
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default=UNIFORM_BALL)
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path")
 
     p = command("solve", _cmd_solve, "run a solver on a dataset CSV")
-    p.add_argument("--in", dest="input", help="dataset CSV path")
+    p.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     p.add_argument("--solver", choices=SOLVERS, default="lloyd")
     p.add_argument("--clusters", type=int)
 
     p = command("certify", _cmd_certify, "certify a partition of a dataset CSV")
-    p.add_argument("--in", dest="input", help="dataset CSV path")
+    p.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     p.add_argument("--use-planted", action="store_true", help="certify the planted partition")
     p.add_argument("--solver", choices=SOLVERS, default="lloyd", help="solve first, then certify the result")
     p.add_argument("--clusters", type=int)
     p.add_argument("--epsilon", type=float)
 
     p = command("sweep", _cmd_sweep, "grid of trials with CSV rows and per-cell aggregates")
-    p.add_argument("--delta", type=_parse_float_list, help="comma list or start:stop:step range")
+    p.add_argument("--delta", type=_parse_float_list, required=True, help="comma list or start:stop:step range")
     p.add_argument("--clusters", type=_parse_int_list, default=[2], help="comma list")
     p.add_argument("--dim", type=_parse_int_list, default=[2], help="comma list")
     p.add_argument("--per-ball", dest="per_ball", type=_parse_int_list, default=[100], help="comma list")
@@ -581,23 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            # explicit flags beat file values, which beat the built-in defaults
-            args.command_parser.set_defaults(**_config_defaults(args.command_parser, args.config))
-            args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         # the library rejected an argument combination, such as spectral2 with k = 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

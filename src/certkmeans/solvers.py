@@ -430,6 +430,7 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     sorted_y = y[order]
     if not (sorted_y[1:] > sorted_y[:-1]).all():
         order = np.argsort(y, kind="stable")
+    del sorted_y
 
     # one m x N buffer: the sorted points, centred, then their prefix sums
     # S1, then the suffix sums S1^c = S1(N) - S1
@@ -442,9 +443,14 @@ def optimal_threshold_split(points: PointSet, y: np.ndarray) -> ThresholdScan:
     low /= sizes
     np.subtract(sums[:, -1:].copy(), sums, out=sums)
     high = np.einsum("ij,ij->j", sums[:, :-1], sums[:, :-1])
-    high /= n - sizes
-    f = prefix2[:-1] - low
-    f += (prefix2[-1] - prefix2[:-1]) - high
+    del sums
+    # f = 2 [(prefix2 - low) + ((prefix2[-1] - prefix2) - high)], formed in
+    # place in low, high and sizes: the scan ends holding five N-vectors
+    high /= np.subtract(n, sizes, out=sizes)
+    f = np.subtract(prefix2[:-1], low, out=low)
+    tail = np.subtract(prefix2[-1], prefix2[:-1], out=sizes)
+    tail -= high
+    f += tail
     f *= 2.0
     return ThresholdScan(order=order, f=f, argmin=int(np.argmin(f)) + 1)
 
@@ -532,7 +538,8 @@ def exact_kmeans_bruteforce(points: PointSet, k: int) -> SolveResult:
     if count > PARTITION_CAP:
         raise ValueError(f"{count} partitions exceed the cap of {PARTITION_CAP}")
     labelings = _canonical_labelings(n, k)
-    cols = points.columns
+    # centred, so that no cost carries ||x||^2 where a shift dominates the data
+    cols = points.columns - points.columns.mean(axis=1)[:, None]
     sq = np.einsum("ij,ij->j", cols, cols)
     totals = np.zeros(labelings.shape[0])
     for a in range(k):

@@ -200,18 +200,21 @@ def corollary_check(points, partition):
     return lhs <= ctx.z, lhs, ctx.z
 
 
-def recover_alpha(ctx):
-    """The per-point dual coefficients, in the caller's point order.
+def recover_alpha(ctx, labels):
+    """The per-point dual coefficients of the context built for ``labels``,
+    in the caller's point order.
 
     alpha_{a,r} = -z/n_a + (1/n_a^2) 1^T D^(a,a) 1 - (2/n_a) e_r^T D^(a,a) 1,
-    which equals -z/n_a + 2 mu_{a,r}.
+    which equals -z/n_a - 2 ||x_r - c_a||^2 for the centroid c_a of cluster a.
+    The context's canonical order is the stable sort of the labels.
     """
-    parts = []
-    for a in range(ctx.n_clusters):
-        parts.append(-ctx.z / float(ctx.sizes[a]) + 2.0 * ctx.mu[a])
     alpha = np.empty(ctx.n_points)
-    alpha[ctx.perm] = np.concatenate(parts)
-    return alpha
+    for a, blk in enumerate(ctx.blocks):
+        diff = ctx.phi[:, blk] - ctx.phi[:, blk].mean(axis=1)[:, None]
+        alpha[blk] = -ctx.z / float(ctx.sizes[a]) - 2.0 * np.einsum("ij,ij->j", diff, diff)
+    out = np.empty_like(alpha)
+    out[np.argsort(labels, kind="stable")] = alpha
+    return out
 
 
 def reference_kmeans_pp_centers(cols, k, rng):
@@ -328,7 +331,7 @@ def reference_apply_A(ctx, x, expanded=False):
 
 
 def reference_certificate_context(points, partition):
-    """phi, sq_norms, mu, z, u and rho of the certificate context,
+    """phi, sq_norms, z, u and rho of the certificate context,
     built with a fresh array per expression; the library's in-place build
     must match every one bit for bit."""
     k = partition.k
@@ -340,7 +343,6 @@ def reference_certificate_context(points, partition):
     centers = np.stack([phi[:, blk].mean(axis=1) for blk in blocks], axis=1)
     center_sq = np.einsum("ij,ij->j", centers, centers)
     dots = [phi[:, blk].T @ centers for blk in blocks]
-    mu = [2.0 * dots[a][:, a] - sq_norms[blocks[a]] - center_sq[a] for a in range(k)]
     row_sums = {
         (a, b): int(sizes[b]) * (2.0 * (dots[a][:, a] - dots[a][:, b]) + (center_sq[b] - center_sq[a]))
         for a in range(k)
@@ -352,7 +354,7 @@ def reference_certificate_context(points, partition):
     for (a, b), ms in row_sums.items():
         u[(a, b)] = np.maximum(ms - z * (sizes[a] + sizes[b]) / (2.0 * sizes[a]), 0.0)
     rho = {(a, b): 0.5 * (float(u[(a, b)].sum()) + float(u[(b, a)].sum())) for a in range(k) for b in range(a + 1, k)}
-    return SimpleNamespace(phi=phi, sq_norms=sq_norms, mu=tuple(mu), z=float(z), u=u, rho=rho)
+    return SimpleNamespace(phi=phi, sq_norms=sq_norms, z=float(z), u=u, rho=rho)
 
 
 def reference_sample_columns(config):

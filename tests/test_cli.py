@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import re
 import subprocess
 import sys
@@ -297,12 +296,12 @@ class TestCommandLine:
     def test_sweep_files_and_config(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         cells = tmp_path / "cells.csv"
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"trials": 2, "per_ball": "8", "dim": "4"}))
+        config = tmp_path / "sweep.args"
+        config.write_text("--trials=2\n--per-ball=8\n--dim\n4\n")
         rc = main(
             [
                 "sweep",
-                "--config", str(config),
+                f"@{config}",
                 "--delta", "2.5,3.0",
                 "--clusters", "2",
                 "--seed", "3",
@@ -315,10 +314,10 @@ class TestCommandLine:
         records = parse_records_csv(rows.read_text())
         assert len(records) == 4  # 2 deltas x 2 trials
         assert cells.read_text().splitlines()[0].startswith("delta,")
-        # the summary path can come from the config file as well
+        # the summary path can come from the argument file as well
         file_cells = tmp_path / "file_cells.csv"
-        config.write_text(json.dumps({"trials": 2, "per_ball": "8", "dim": "4", "summary_out": str(file_cells)}))
-        rc = main(["sweep", "--config", str(config), "--delta", "2.5,3.0", "--clusters", "2", "--seed", "3",
+        config.write_text(f"--trials=2\n--per-ball=8\n--dim=4\n--summary-out={file_cells}\n")
+        rc = main(["sweep", f"@{config}", "--delta", "2.5,3.0", "--clusters", "2", "--seed", "3",
                    "--certify", "--out", str(rows)])
         assert rc == 0
         assert file_cells.read_text() == cells.read_text()
@@ -354,12 +353,12 @@ class TestCommandLine:
             ]
         )
         assert rc == 3
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"strict": True}))
+        config = tmp_path / "strict.args"
+        config.write_text("--strict\n")
         rc = main(
             [
                 "sweep",
-                "--config", str(config),
+                f"@{config}",
                 "--delta", "3.0",
                 "--clusters", "3",
                 "--dim", "6",
@@ -424,35 +423,49 @@ class TestCommandLine:
         assert cli.build_parser().parse_args(["sweep", "--delta", text]).delta == values
 
     def test_missing_required_returns_2(self, tmp_path, capsys, three_ball_csv):
-        config = tmp_path / "conf.json"
-        for argv, config_text, message in (
-            (["generate", "--dim", "2"], None, "missing required option --out"),
-            (["generate", "--config", str(config)], None, "cannot read config file"),  # no such file
-            (["sweep", "--delta", "2.5", "--config", str(config)], "{not json", "cannot read config file"),
-            (["sweep", "--config", str(config)], "[64, 128]", "must hold a JSON object"),
-            # library ValueErrors: three balls need m >= 3, spectral2 needs k = 2
+        # argparse exits 2 for a missing required flag or an unreadable @file
+        missing = tmp_path / "missing.args"
+        for argv, message in (
+            (["generate", "--dim", "2"], "the following arguments are required: --out"),
+            (["solve", "--solver", "lloyd"], "the following arguments are required: --in"),
+            (["certify", "--use-planted"], "the following arguments are required: --in"),
+            (["sweep", "--trials", "1"], "the following arguments are required: --delta"),
+            (["generate", f"@{missing}"], f"No such file or directory: '{missing}'"),
+            (["sweep", f"@{tmp_path}", "--delta", "2.5"], f"Is a directory: '{tmp_path}'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.splitlines()[-1].endswith(message), (argv, captured.err)
+        # the command returns 2 with one error line for values the library rejects
+        data = tmp_path / "data.csv"
+        for argv, data_text, message in (
+            # three balls need m >= 3, spectral2 needs k = 2
             (["generate", "--clusters", "3", "--out", str(tmp_path / "x.csv")], None, "needs m >= k"),
             (["solve", "--in", three_ball_csv, "--solver", "spectral2"], None, "two clusters only"),
-            # dataset files: the config path holds the CSV text
-            (["certify", "--in", str(config), "--use-planted"], "2,2,0\n0.0,1.0\n1.0,0.0\n",
+            (["certify", "--in", str(data), "--use-planted"], "2,2,0\n0.0,1.0\n1.0,0.0\n",
              "no planted partition to certify"),
-            (["certify", "--in", str(config)], "2,-3,0\n", "header field N must be at least 1, got -3"),
-            (["certify", "--in", str(config)], "6,1000000000000000000,2\n", "cannot allocate the declared"),
+            (["solve", "--in", str(data)], None, "--clusters required when the dataset has no planted labels"),
+            (["certify", "--in", str(data)], "2,-3,0\n", "header field N must be at least 1, got -3"),
+            (["certify", "--in", str(data)], "6,1000000000000000000,2\n", "cannot allocate the declared"),
         ):
-            if config_text is not None:
-                config.write_text(config_text)
+            if data_text is not None:
+                data.write_text(data_text)
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, (argv, err)
 
     def test_flag_overrides_config(self, tmp_path, capsys):
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"delta": 9.0, "per_ball": 4, "dim": 2, "clusters": 2, "out": str(tmp_path / "a.csv")}))
-        rc = main(["generate", "--config", str(config), "--delta", "2.5", "--out", str(tmp_path / "b.csv")])
+        config = tmp_path / "generate.args"
+        config.write_text(f"--delta=9.0\n--per-ball=4\n--dim=2\n--clusters=2\n--out={tmp_path / 'a.csv'}\n")
+        rc = main(["generate", f"@{config}", "--delta", "2.5", "--out", str(tmp_path / "b.csv")])
         assert rc == 0
         ds = read_dataset_csv(str(tmp_path / "b.csv"))
         spread = ds.points.columns[0].max() - ds.points.columns[0].min()
         assert spread < 9.0  # delta 2.5 took precedence
+        assert not (tmp_path / "a.csv").exists()  # and so did the later --out
 
 
 def _output(capsys, argv) -> list[str]:
@@ -471,7 +484,7 @@ def _output(capsys, argv) -> list[str]:
 
 
 def _flags(values: dict) -> list[str]:
-    """The command-line form of config-file values."""
+    """The command-line form of option values, keyed by long flag name with underscores."""
     argv = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -490,8 +503,14 @@ def three_ball_csv(tmp_path, capsys):
     return str(path)
 
 
+def _args_file(path, argv: list[str]) -> str:
+    """Write ``argv`` to ``path``, one argument per line, and return its ``@`` reference."""
+    path.write_text("".join(arg + "\n" for arg in argv))
+    return f"@{path}"
+
+
 class TestConfigFile:
-    """Each option read from --config acts as its flag would, and flags win."""
+    """Each option read from an ``@file`` acts as its flag would, and later flags win."""
 
     @pytest.mark.parametrize(
         "command, values, expect",
@@ -502,29 +521,27 @@ class TestConfigFile:
         ],
     )
     def test_solve_and_certify_read_config(self, tmp_path, capsys, three_ball_csv, command, values, expect):
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"in": three_ball_csv, **values}))
-        from_file = _output(capsys, [command, "--config", str(config)])
+        flags = _flags({"in": three_ball_csv, **values})
+        from_file = _output(capsys, [command, _args_file(tmp_path / "cmd.args", flags)])
         assert expect in from_file
-        assert from_file == _output(capsys, [command, "--in", three_ball_csv] + _flags(values))
+        assert from_file == _output(capsys, [command] + flags)
 
-    def test_json_numbers_feed_int_options(self, tmp_path, capsys):
-        config = tmp_path / "conf.json"
-        values = {"dim": 3, "clusters": 3, "per_ball": 5, "delta": 3, "seed": 7}
-        config.write_text(json.dumps({**values, "out": str(tmp_path / "data.csv")}))
-        from_file = _output(capsys, ["generate", "--config", str(config)])
+    def test_file_numbers_feed_int_options(self, tmp_path, capsys):
+        flags = _flags({"dim": 3, "clusters": 3, "per_ball": 5, "delta": 3, "seed": 7, "out": tmp_path / "data.csv"})
+        from_file = _output(capsys, ["generate", _args_file(tmp_path / "generate.args", flags)])
         data = (tmp_path / "data.csv").read_text()
         assert data.splitlines()[0] == "3,15,3"
-        assert from_file == _output(capsys, ["generate", "--out", str(tmp_path / "data.csv")] + _flags(values))
+        assert from_file == _output(capsys, ["generate"] + flags)
         assert (tmp_path / "data.csv").read_text() == data
 
     def test_sweep_list_forms_agree(self, tmp_path, capsys):
-        config = tmp_path / "conf.json"
+        # "--flag=value" on one line or flag and value on two; a comma list or a range
         outputs = []
-        for per_ball in ("8", 8, [8]):
-            config.write_text(json.dumps({"delta": [2.5, 3.0], "clusters": 2, "dim": "4", "per_ball": per_ball,
-                                          "trials": 2, "seed": 3, "certify": True}))
-            outputs.append(_output(capsys, ["sweep", "--config", str(config)]))
+        for delta, per_ball in ((["--delta=2.5,3.0"], ["--per-ball=8"]),
+                                (["--delta", "2.5,3.0"], ["--per-ball", "8"]),
+                                (["--delta=2.5:3.0:0.5"], ["--per-ball=8,"])):
+            argv = delta + per_ball + ["--clusters=2", "--dim=4", "--trials=2", "--seed=3", "--certify"]
+            outputs.append(_output(capsys, ["sweep", _args_file(tmp_path / "sweep.args", argv)]))
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0]) == 1 + 4 + 2  # header, 2 deltas x 2 trials, 2 cell lines
         assert outputs[0] == _output(capsys, ["sweep", "--delta", "2.5,3.0", "--clusters", "2", "--dim", "4",
@@ -542,11 +559,10 @@ class TestConfigFile:
     )
     def test_flag_beats_file(self, tmp_path, capsys, three_ball_csv, command, file_values, flag_values):
         base = {"in": three_ball_csv} if command in ("solve", "certify") else {}
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({**base, **file_values}))
-        both = _output(capsys, [command, "--config", str(config)] + _flags(flag_values))
+        args_file = _args_file(tmp_path / "cmd.args", _flags({**base, **file_values}))
+        both = _output(capsys, [command, args_file] + _flags(flag_values))
         assert both == _output(capsys, [command] + _flags({**base, **flag_values}))
-        assert both != _output(capsys, [command, "--config", str(config)])
+        assert both != _output(capsys, [command, args_file])
 
 
 class TestImportBoundary:

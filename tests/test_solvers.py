@@ -617,7 +617,7 @@ class TestSpectralTwoMeans:
 
     def test_memory_below_budget(self):
         # centered is freed before the scan, and the scan holds one m x N
-        # buffer: the peak stays under 3.25 copies of the points
+        # buffer and five N-vectors: the peak stays under 2.25 copies of the points
         points = ball_dataset(seed=27, k=2, m=6, n=2**14, delta=2.3).points
         tracemalloc.start()
         try:
@@ -625,7 +625,7 @@ class TestSpectralTwoMeans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.25 * points.columns.nbytes
+        assert peak < 2.25 * points.columns.nbytes
 
 
 class TestBruteforce:
@@ -671,6 +671,20 @@ class TestBruteforce:
             brute = exact_kmeans_bruteforce(pts, 3)
             heur = lloyd(pts, 3, seed=trial)
             assert brute.objective <= heur.objective + 1e-9
+
+    def test_translation_invariance(self):
+        # the enumeration runs on centred points: shifted data keep the
+        # unshifted optimum, and the objective is that of the caller's points
+        rng = np.random.default_rng(28)
+        for trial in range(40):
+            k = 2 + trial % 2
+            cols = rng.standard_normal((2, 10))
+            base = exact_kmeans_bruteforce(PointSet(cols), k)
+            for shift in (1e4, 1e6, 1e8):
+                shifted = PointSet(cols + shift)
+                got = exact_kmeans_bruteforce(shifted, k)
+                assert np.array_equal(got.partition.labels, base.partition.labels), (trial, shift)
+                assert got.objective == kmeans_objective(shifted, got.partition)
 
 
 @pytest.mark.parametrize(

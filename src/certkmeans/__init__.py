@@ -15,8 +15,6 @@ from .model import (
     UNIFORM_BALL,
     UNIFORM_SPHERE,
     kmeans_objective,
-    pairwise_sq_distances,
-    partition_from_labels,
     partitions_equal,
     read_dataset_csv,
     sample_stochastic_ball_model,
@@ -24,12 +22,9 @@ from .model import (
     write_dataset_csv,
 )
 from .certificate import (
-    CertificateContext,
     CertificateUndefinedError,
     CertifyDecision,
     CertifyOutcome,
-    apply_A,
-    build_certificate_context,
     certify_partition,
 )
 from .detector import (
@@ -43,7 +38,6 @@ from .solvers import (
     SolveResult,
     ThresholdScan,
     exact_kmeans_bruteforce,
-    leading_eigenvector,
     lloyd,
     optimal_threshold_split,
     spectral_two_means,

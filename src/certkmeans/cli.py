@@ -419,7 +419,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _solve_dataset(dataset: Dataset, args: argparse.Namespace) -> SolveResult:
     """Run ``--solver`` for ``--clusters`` clusters, by default the planted count."""
     k = args.clusters
-    if k is None:
+    if k is None and args.solver != "planted":
         if dataset.planted is None:
             raise ValueError("--clusters required when the dataset has no planted labels")
         k = dataset.planted.k
@@ -447,7 +447,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     dataset = read_dataset_csv(args.input)
-    result = _solve(dataset, "planted", 0, args.seed) if args.use_planted else _solve_dataset(dataset, args)
+    result = _solve_dataset(dataset, args)
     outcome = certify_partition(dataset.points, result.partition, args.epsilon, seed=args.seed)
     print(f"partition: {result.solver_tag}")
     print(f"decision: {outcome.decision.value}")
@@ -525,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("certify", _cmd_certify, "certify a partition of a dataset CSV")
     p.add_argument("--in", dest="input", required=True, help="dataset CSV path")
-    p.add_argument("--use-planted", action="store_true", help="certify the planted partition")
-    p.add_argument("--solver", choices=SOLVERS, default="lloyd", help="solve first, then certify the result")
+    p.add_argument("--solver", choices=PARTITION_SOURCES, default="lloyd", help="the partition to certify")
     p.add_argument("--clusters", type=int)
     p.add_argument("--epsilon", type=float)
 
@@ -552,8 +551,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # the library rejected an argument combination, such as spectral2 with k = 3
+    except (ValueError, OSError) as exc:
+        # an argument combination the library rejects, or a path it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,9 +39,9 @@ EIG_TOL = 1e-8
 EIG_MAX_ITER = 10_000
 # Lloyd stops once the centroids stop moving, or after LLOYD_MAX_ITER updates
 LLOYD_MAX_ITER = 100
-# Lloyd keeps Hamerly bounds for at least HAMERLY_MIN_POINTS points with
-# k * m >= HAMERLY_MIN_WORK; below either, the O(N) bound upkeep of about ten
-# vector passes per update costs more than the distance columns it saves
+# Lloyd keeps a Hamerly gap per point for at least HAMERLY_MIN_POINTS points
+# with k * m >= HAMERLY_MIN_WORK; below either, the O(N) gap upkeep per
+# update costs more than the distance columns it saves
 HAMERLY_MIN_POINTS = 2048
 HAMERLY_MIN_WORK = 256
 # exhaustive search refuses inputs with more k-block partitions than this
@@ -159,60 +159,41 @@ def _allowance_radius(m: int, x2_max: float, centers: np.ndarray) -> float:
     return math.sqrt((m + 4) * 2.0**-51 * scale)
 
 
-def _hamerly_bounds(
-    d2: np.ndarray, labels: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on exact distances from the computed squared distances ``d2``
-    (overwritten): each point is at most ``upper`` from its own centre and at
-    least ``lower`` from every other."""
+def _gap(d2: np.ndarray, labels: np.ndarray, radius: float) -> np.ndarray:
+    """A lower bound on how much farther each point's nearest other centre is
+    than its own, (sqrt(second) - radius) - (sqrt(own) + radius), from the
+    computed squared distances ``d2`` (overwritten)."""
     span = np.arange(labels.size)
-    upper = d2[labels, span]
+    own = d2[labels, span]
     d2[labels, span] = np.inf
-    del span  # freed before lower is allocated: one N-vector above _assign's peak
-    lower = d2.min(axis=0)
-    for bound in (upper, lower):
-        np.maximum(bound, 0.0, out=bound)
-        np.sqrt(bound, out=bound)
-    upper += radius
-    lower -= radius
-    return upper, lower
+    del span  # freed before gap is allocated: one N-vector above _assign's peak
+    gap = d2.min(axis=0)
+    for dist in (own, gap):
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+    gap -= radius
+    own += radius
+    gap -= own
+    return gap
 
 
-def _unsettled(
-    centers: np.ndarray, labels: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], radius: float
-) -> np.ndarray:
-    """Indices of the points whose bounds cannot prove that their label stays.
+def _unsettled(gap: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the points whose gap cannot prove that their label stays.
 
-    Every other centre is at least max(lower, 2 s(a) - upper) from a point of
-    cluster a, where s(a) is half the distance from centre a to its nearest
-    other centre.  The computed squared distances are within radius^2 of the
-    exact ones, so a point whose nearest other centre is more than 2 radius
-    farther than its own has its label as the unique strict minimum of its
-    computed column.
+    The computed squared distances are within radius^2 of the exact ones, so
+    a point whose nearest other centre is more than 2 radius farther than its
+    own has its label as the unique strict minimum of its computed column.
     """
-    upper, lower = bounds
-    # k x k x m differences: direct, since the expanded form's rounding is
-    # the size of the allowance
-    step = centers[:, :, None] - centers[:, None, :]
-    between = np.einsum("ijk,ijk->jk", step, step)
-    np.fill_diagonal(between, np.inf)
-    margin = np.sqrt(between.min(axis=0))[labels]
-    margin -= upper
-    np.maximum(margin, lower, out=margin)
-    margin -= upper
-    return np.flatnonzero(margin <= 2.0 * radius)
+    return np.flatnonzero(gap <= 2.0 * radius)
 
 
-def _loosen(
-    bounds: tuple[np.ndarray, np.ndarray], labels: np.ndarray, centers: np.ndarray, new_centers: np.ndarray
-) -> None:
-    """Widen the bounds in place by how far the centres moved: each upper
-    bound by its own centre's move, every lower bound by the largest move."""
+def _loosen(gap: np.ndarray, labels: np.ndarray, centers: np.ndarray, new_centers: np.ndarray) -> None:
+    """Shrink the gaps in place by how far the centres moved: each point's own
+    centre may have moved away from it by its move, and every other centre
+    towards it by at most the largest move."""
     step = new_centers - centers
     moved = np.sqrt(np.einsum("ij,ij->j", step, step))
-    upper, lower = bounds
-    upper += moved[labels]
-    lower -= moved.max()
+    gap -= moved[labels] + moved.max()
 
 
 def _reassign(
@@ -220,12 +201,12 @@ def _reassign(
     sq_norms: np.ndarray,
     centers: np.ndarray,
     labels: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
+    gap: np.ndarray,
     radius: float,
     unsettled: np.ndarray,
 ) -> np.ndarray:
     """New labels with the unsettled points' columns computed by _assign, and
-    their bounds refreshed in place.  The gathers go in chunks whose rows and
+    their gaps refreshed in place.  The gathers go in chunks whose rows and
     distances take at most half the room of the full k x N distances, so
     memory stays below a full update's."""
     m, k = centers.shape
@@ -235,7 +216,7 @@ def _reassign(
         idx = unsettled[lo : lo + chunk]
         fresh, d2 = _assign(rows[idx].T, sq_norms[idx], centers)
         labels[idx] = fresh
-        bounds[0][idx], bounds[1][idx] = _hamerly_bounds(d2, fresh, radius)
+        gap[idx] = _gap(d2, fresh, radius)
     return labels
 
 
@@ -303,12 +284,12 @@ def lloyd(
     re-seeding with the point farthest from its current centroid, which
     never increases the objective.
 
-    From the second update on, each point keeps Hamerly bounds: an upper
-    bound on its distance to its own centre and a lower bound on its
-    distance to every other centre, loosened by how far the centres move.
-    An update then costs O(N) of bound upkeep plus full distance columns
-    only for the points whose bounds, less a rounding allowance, cannot
-    prove that their label stays; those columns are gathered and computed
+    From the second update on, each point keeps one Hamerly gap: a lower
+    bound on how much farther its nearest other centre is than its own,
+    shrunk after each update by its own centre's move plus the largest move.
+    An update then costs O(N) of gap upkeep plus full distance columns only
+    for the points whose gap, less a rounding allowance, cannot prove that
+    their label stays; those columns are gathered and computed
     as in the full product, with a single column computed twice over
     (a one-column product takes the gemv path and rounds differently).
     The labels are therefore those of computing every column.  Every column
@@ -335,37 +316,37 @@ def lloyd(
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    # Hamerly bounds on each point's distances, kept from the second update on
-    keep_bounds = k > 1 and n >= HAMERLY_MIN_POINTS and k * points.dim >= HAMERLY_MIN_WORK
+    # a Hamerly gap per point, kept from the second update on
+    keep_gap = k > 1 and n >= HAMERLY_MIN_POINTS and k * points.dim >= HAMERLY_MIN_WORK
     x2_max = float(sq_norms.max())
-    bounds = None
+    gap = None
     for iterations in range(1, LLOYD_MAX_ITER + 1):
         previous = labels
-        radius = _allowance_radius(points.dim, x2_max, centers) if keep_bounds else math.inf
+        radius = _allowance_radius(points.dim, x2_max, centers) if keep_gap else math.inf
         unsettled = None
-        if bounds is not None and math.isfinite(radius):
-            unsettled = _unsettled(centers, labels, bounds, radius)
+        if gap is not None and math.isfinite(radius):
+            unsettled = _unsettled(gap, radius)
         # every column on the first update, after a repair, when the allowance
         # is not finite, and past half the points, where the full product
         # costs less than the gather
         if unsettled is None or 2 * unsettled.size > n:
-            bounds = None  # freed before the k x N distances
+            gap = None  # freed before the k x N distances
             labels, d2 = _assign(cols, sq_norms, centers)
             if math.isfinite(radius):
-                bounds = _hamerly_bounds(d2, labels, radius)
+                gap = _gap(d2, labels, radius)
             del d2
         elif unsettled.size:
-            labels = _reassign(rows, sq_norms, centers, labels, bounds, radius, unsettled)
+            labels = _reassign(rows, sq_norms, centers, labels, gap, radius, unsettled)
         if (np.bincount(labels, minlength=k) == 0).any():
             labels = _repair_empty(cols, labels, centers, k)
-            bounds = None
+            gap = None
         new_centers = _centroids(rows, labels, k, centers, previous)
         if np.array_equal(new_centers, centers):
             break
-        if bounds is not None:
-            _loosen(bounds, labels, centers, new_centers)
+        if gap is not None:
+            _loosen(gap, labels, centers, new_centers)
         centers = new_centers
-    del bounds, unsettled  # freed before the objective's gathers
+    del gap, unsettled  # freed before the objective's gathers
     partition = partition_from_labels(labels)
     # kmeans_objective's arithmetic on contiguous row gathers
     objective = 0.0

@@ -288,7 +288,7 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "objective:" in out and "recovered_planted: True" in out
 
-        rc = main(["certify", "--in", str(data), "--use-planted", "--seed", "2"])
+        rc = main(["certify", "--in", str(data), "--solver", "planted", "--seed", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "decision: certified_optimal" in out
@@ -428,7 +428,7 @@ class TestCommandLine:
         for argv, message in (
             (["generate", "--dim", "2"], "the following arguments are required: --out"),
             (["solve", "--solver", "lloyd"], "the following arguments are required: --in"),
-            (["certify", "--use-planted"], "the following arguments are required: --in"),
+            (["certify", "--solver", "planted"], "the following arguments are required: --in"),
             (["sweep", "--trials", "1"], "the following arguments are required: --delta"),
             (["generate", f"@{missing}"], f"No such file or directory: '{missing}'"),
             (["sweep", f"@{tmp_path}", "--delta", "2.5"], f"Is a directory: '{tmp_path}'"),
@@ -440,16 +440,19 @@ class TestCommandLine:
             assert captured.out == "", argv
             assert captured.err.splitlines()[-1].endswith(message), (argv, captured.err)
         # the command returns 2 with one error line for values the library rejects
+        # and for dataset paths it cannot read or write
         data = tmp_path / "data.csv"
         for argv, data_text, message in (
             # three balls need m >= 3, spectral2 needs k = 2
             (["generate", "--clusters", "3", "--out", str(tmp_path / "x.csv")], None, "needs m >= k"),
             (["solve", "--in", three_ball_csv, "--solver", "spectral2"], None, "two clusters only"),
-            (["certify", "--in", str(data), "--use-planted"], "2,2,0\n0.0,1.0\n1.0,0.0\n",
+            (["certify", "--in", str(data), "--solver", "planted"], "2,2,0\n0.0,1.0\n1.0,0.0\n",
              "no planted partition to certify"),
             (["solve", "--in", str(data)], None, "--clusters required when the dataset has no planted labels"),
             (["certify", "--in", str(data)], "2,-3,0\n", "header field N must be at least 1, got -3"),
             (["certify", "--in", str(data)], "6,1000000000000000000,2\n", "cannot allocate the declared"),
+            (["solve", "--in", str(tmp_path / "missing.csv")], None, "No such file or directory"),
+            (["generate", "--out", str(tmp_path / "nodir" / "x.csv")], None, "No such file or directory"),
         ):
             if data_text is not None:
                 data.write_text(data_text)
@@ -517,7 +520,7 @@ class TestConfigFile:
         [
             ("solve", {"solver": "spectral2", "clusters": 2, "seed": 4}, "solver: spectral2"),
             ("certify", {"solver": "spectral2", "clusters": 2, "epsilon": 1e-6, "seed": 4}, "partition: spectral2"),
-            ("certify", {"use_planted": True, "epsilon": "1e-6"}, "partition: planted"),
+            ("certify", {"solver": "planted", "epsilon": "1e-6"}, "partition: planted"),
         ],
     )
     def test_solve_and_certify_read_config(self, tmp_path, capsys, three_ball_csv, command, values, expect):
@@ -552,7 +555,7 @@ class TestConfigFile:
         [
             ("solve", {"solver": "spectral2", "clusters": 2, "seed": 9}, {"solver": "lloyd", "clusters": 3, "seed": 1}),
             ("certify", {"solver": "spectral2", "clusters": 2, "epsilon": 0.5, "seed": 9},
-             {"use_planted": True, "epsilon": 1e-6, "seed": 2}),
+             {"solver": "planted", "epsilon": 1e-6, "seed": 2}),
             ("sweep", {"delta": "3.0", "clusters": "3", "per_ball": "16", "trials": 3, "solver": "spectral2"},
              {"delta": "2.5", "clusters": "2", "per_ball": "8", "trials": 1, "solver": "lloyd"}),
         ],

@@ -64,7 +64,7 @@ K3_TRIALS = {
         "85.47784737483695", "26.953371383306756", "not_certified", 1),
 }
 
-# stdout of `certkmeans certify --use-planted --seed 2` on the generated
+# stdout of `certkmeans certify --solver planted --seed 2` on the generated
 # dataset below, with the default epsilon and with --epsilon 1e-6
 CERTIFY_STDOUT = {
     (): (
@@ -122,7 +122,7 @@ def test_certify_stdout(tmp_path, capsys, extra):
     generate = ["generate", "--dim", "6", "--clusters", "2", "--per-ball", "64", "--delta", "2.3", "--seed", "7"]
     assert main(generate + ["--out", data]) == 0
     capsys.readouterr()
-    assert main(["certify", "--in", data, "--use-planted", "--seed", "2", *extra]) == 0
+    assert main(["certify", "--in", data, "--solver", "planted", "--seed", "2", *extra]) == 0
     assert capsys.readouterr().out == CERTIFY_STDOUT[extra]
 
 # (solver, k, m, delta, N, seed) -> (sha256 of the int64 labels, repr(z),

@@ -270,6 +270,45 @@ class TestHamerlyBounds:
                         assert got_d2.tobytes() == d2[:, idx].tobytes()
                         assert np.array_equal(got_labels, labels[idx])
 
+    def test_loosened_gap_is_sound(self):
+        # centres 0 and 1 sit 10 apart on e_0 and both move by delta along
+        # -e_0: centre 0 away from the points between them, centre 1 towards
+        # them; centre 2 stays.  The "tight" points of cluster 0 start with
+        # gaps in (2r + delta, 2r + 2 delta], so leaving out either term of
+        # the loosening settles points that the move hands to cluster 1
+        rng = np.random.default_rng(57)
+        m, delta = 3, 0.01
+        centers = np.zeros((m, 3))
+        centers[0, 1] = 10.0
+        centers[1, 2] = 20.0
+        tight = np.zeros((m, 40))
+        tight[0] = 5.0 - 0.5 * delta * np.linspace(1.1, 1.9, 40)  # distance difference about 10 - 2 x_0
+        tight[1:] = 1e-3 * rng.standard_normal((m - 1, 40))
+        easy = centers[:, np.arange(60) % 3] + rng.uniform(-1.0, 1.0, (m, 60))
+        cols = np.concatenate((tight, easy), axis=1)
+        sq_norms = np.einsum("ij,ij->j", cols, cols)
+        x2_max = float(sq_norms.max())
+        radius = solvers._allowance_radius(m, x2_max, centers)
+        labels, d2 = solvers._assign(cols, sq_norms, centers)
+        gap = solvers._gap(d2, labels, radius)
+        assert (labels[:40] == 0).all()
+        assert ((gap[:40] > 2 * radius + delta) & (gap[:40] <= 2 * radius + 2 * delta)).all()
+
+        new_centers = centers.copy()
+        new_centers[0, :2] -= delta
+        solvers._loosen(gap, labels, centers, new_centers)
+        # exact distances at the new centres, by direct differences
+        dist = np.linalg.norm(cols[:, None, :] - new_centers[:, :, None], axis=0)
+        own = dist[labels, np.arange(labels.size)]
+        dist[labels, np.arange(labels.size)] = np.inf
+        assert (gap <= dist.min(axis=0) - own).all()
+        new_radius = solvers._allowance_radius(m, x2_max, new_centers)
+        settled = np.setdiff1d(np.arange(labels.size), solvers._unsettled(gap, new_radius))
+        new_labels, _ = solvers._assign(cols, sq_norms, new_centers)
+        assert np.array_equal(new_labels[settled], labels[settled])
+        assert settled.size >= 50
+        assert (new_labels[:40] == 1).all()  # the move hands every tight point over
+
     @pytest.mark.parametrize("seed", [5, 24])
     def test_stuck_runs(self, seed, bound_steps):
         # the many-clusters shape (k = 10, m = 50, delta = 5) at N = 5000
